@@ -13,24 +13,18 @@
 ///
 /// The *_ThreadedIngest benchmarks drive the same detection hot path from
 /// 1..8 concurrent threads; compare their aggregate items_per_second to see
-/// the multi-threaded ingestion scaling. BM_ThreadedIngest runs the
-/// build's native path (lock-free CAS by default, striped-mutex when
-/// configured with -DCHEETAH_LOCKED_TABLE=ON), while
-/// BM_ThreadedIngestStripedLock wraps the same detector in a PR-1-style
-/// 64-stripe mutex harness inside the benchmark, and
-/// BM_ThreadedIngestSharded drives the epoch-sharded accumulation path
-/// (stage-1 gate + per-thread shard record + quiesce merge) — so a single
-/// run reports shared, locked, and sharded throughput side by side at
-/// every thread count without rebuilding.
+/// the multi-threaded ingestion scaling of the one ingestion engine
+/// (stage-1 gate, per-thread shard record, merge at quiesce).
 ///
 /// `micro_hotpath --emit-ingest-json=PATH` skips google-benchmark and runs
-/// the dedicated ingest sweep instead: shared vs locked vs sharded vs
-/// batched (the staged handleBatch pipeline) at 1..8 threads, the
-/// single-threaded trace-replay delivery row (BM_TraceReplay's sweep
-/// counterpart), plus the decode dimension — the scalar and SIMD
-/// sample-decode kernels at batch sizes 1/16/64/256 — written as the
-/// machine-readable `BENCH_ingest.json` (samples/sec/core) that tracks
-/// the ingestion-throughput trajectory across PRs.
+/// the dedicated ingest sweep instead: single-sample batches vs 256-sample
+/// batches through Detector::handleBatch at 1..8 threads (each row timed
+/// through the closing quiesce() merge), the single-threaded trace-replay
+/// delivery row (BM_TraceReplay's sweep counterpart), plus the decode
+/// dimension — the scalar and SIMD sample-decode kernels at batch sizes
+/// 1/16/64/256 — written as the machine-readable `BENCH_ingest.json`
+/// (samples/sec/core, with the host's CPU count) that tracks the
+/// ingestion-throughput trajectory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,9 +50,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace cheetah;
@@ -251,7 +245,8 @@ constexpr uint64_t LinesPerIngestThread = 4096;
 /// Aggregate sample-ingest throughput: each thread feeds the shared
 /// detector samples over its own slice of the monitored region (the
 /// realistic deployment shape — application threads mostly touch their own
-/// data, while all profiler metadata stays shared).
+/// data, while the stage-1 counters and two-entry tables stay shared and
+/// the additive statistics land in each thread's shard).
 void BM_ThreadedIngest(benchmark::State &State) {
   static IngestHarness *Harness = nullptr;
   if (State.thread_index() == 0)
@@ -275,162 +270,78 @@ void BM_ThreadedIngest(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 
   if (State.thread_index() == 0) {
+    Harness->Detect.quiesce(); // the epoch merge is part of the engine
     delete Harness;
     Harness = nullptr;
   }
 }
 BENCHMARK(BM_ThreadedIngest)->ThreadRange(1, 8)->UseRealTime();
 
-/// The PR-1 locked design, reproduced in-harness: the same detector calls,
-/// serialized by a 64-stripe mutex array keyed by line index exactly as
-/// ShadowMemory::lineLock used to do. Comparing this row against
-/// BM_ThreadedIngest at the same thread count is the locked-vs-lock-free
-/// A/B the CHEETAH_LOCKED_TABLE toggle exists for, without rebuilding.
-void BM_ThreadedIngestStripedLock(benchmark::State &State) {
-  static IngestHarness *Harness = nullptr;
-  static std::mutex *Stripes = nullptr;
-  constexpr size_t StripeCount = 64;
-  if (State.thread_index() == 0) {
-    Harness = new IngestHarness(LinesPerIngestThread * State.threads());
-    Stripes = new std::mutex[StripeCount];
-  }
-
-  uint64_t SliceBase =
-      0x4000'0000 +
-      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
-  SplitMix64 Rng(300 + State.thread_index());
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    uint64_t Line = Sample.Address >> 6;
-    std::lock_guard<std::mutex> Lock(
-        Stripes[(Line * 0x9e3779b97f4a7c15ull) >> 58]);
-    benchmark::DoNotOptimize(Harness->Detect.handleSample(Sample, true));
-  }
-  State.SetItemsProcessed(State.iterations());
-
-  if (State.thread_index() == 0) {
-    delete Harness;
-    Harness = nullptr;
-    delete[] Stripes;
-    Stripes = nullptr;
-  }
-}
-BENCHMARK(BM_ThreadedIngestStripedLock)->ThreadRange(1, 8)->UseRealTime();
-
-/// One sample through the epoch-sharded accumulation path, in-harness:
-/// the same stage-1 susceptibility gate and detail materialization the
-/// detector's line stage runs, with the additive record going to this
-/// thread's shard instead of the shared atomics. Callers quiesce() the
-/// table at the epoch boundary.
-inline void ingestSampleSharded(IngestHarness &Harness,
-                                const pmu::Sample &Sample) {
-  uint32_t Writes = Sample.IsWrite
-                        ? Harness.Shadow.noteWrite(Sample.Address)
-                        : Harness.Shadow.writeCount(Sample.Address);
-  if (Writes <= core::DetectorConfig{}.WriteThreshold)
-    return;
-  uint64_t Base = Harness.Shadow.lineBase(Sample.Address);
-  core::CacheLineInfo &Info = Harness.Shadow.materializeDetail(Base);
-  Harness.Shadow.recordSharded(
-      Base, Info, Sample.Tid, Sample.Tid,
-      Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
-      Harness.Geometry.wordInLine(Sample.Address), /*Span=*/1,
-      Sample.LatencyCycles);
-}
-
-/// The CHEETAH_SHARDED_TABLE ingestion design, runnable from any build:
-/// per-thread shard accumulation with zero cross-thread CAS traffic
-/// beyond the shared two-entry table transition, merged back once at the
-/// end of the run. Compare against BM_ThreadedIngest (shared atomics) and
-/// BM_ThreadedIngestStripedLock (PR-1 mutexes) at the same thread count.
-void BM_ThreadedIngestSharded(benchmark::State &State) {
-  static IngestHarness *Harness = nullptr;
-  if (State.thread_index() == 0)
-    Harness = new IngestHarness(LinesPerIngestThread * State.threads());
-
-  uint64_t SliceBase =
-      0x4000'0000 +
-      uint64_t(State.thread_index()) * LinesPerIngestThread * 64;
-  SplitMix64 Rng(700 + State.thread_index());
-  pmu::Sample Sample;
-  for (auto _ : State) {
-    Sample.Address =
-        SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-        Rng.nextBelow(16) * 4;
-    Sample.Tid =
-        static_cast<ThreadId>(State.thread_index() * 4 + Rng.nextBelow(4));
-    Sample.IsWrite = Rng.nextBool(0.7);
-    Sample.LatencyCycles = 40;
-    ingestSampleSharded(*Harness, Sample);
-  }
-  State.SetItemsProcessed(State.iterations());
-
-  if (State.thread_index() == 0) {
-    Harness->Shadow.quiesce(); // the epoch merge is part of the design
-    delete Harness;
-    Harness = nullptr;
-  }
-}
-BENCHMARK(BM_ThreadedIngestSharded)->ThreadRange(1, 8)->UseRealTime();
-
 //===----------------------------------------------------------------------===//
 // Page-granularity (NUMA) hot path
 //===----------------------------------------------------------------------===//
 
+/// One page table with a single materialized page whose home is node 0.
+struct OnePageHarness {
+  NumaTopology Topology{2, 4096};
+  CacheGeometry Geometry{64};
+  core::PageTable Pages{Topology, Geometry, {{0x4000'0000, 4096}}};
+  core::PageInfo &Info = Pages.materializeDetail(0x4000'0000);
+};
+
+/// Records one access on \p Harness's page from \p Node through the
+/// table's per-thread shard.
+inline bool recordOnPage(OnePageHarness &Harness, ThreadId Tid, NodeId Node,
+                         SplitMix64 &Rng) {
+  bool Remote = Node != 0;
+  return Harness.Pages.record(
+      0x4000'0000, Harness.Info, Tid, Node,
+      Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read,
+      Rng.nextBelow(64), /*Span=*/1, /*LatencyCycles=*/40,
+      {Remote, Remote ? 1u : 0u});
+}
+
 /// Single-thread cost of one page-stage detail record (packed node table
-/// CAS + per-line histogram + per-node accumulators).
+/// CAS + this thread's shard: per-line histogram and per-node
+/// accumulators).
 void BM_PageInfoRecord(benchmark::State &State) {
-  core::PageInfo Info(4096 / 64);
+  OnePageHarness Harness;
   SplitMix64 Rng(6);
   for (auto _ : State) {
     NodeId Node = static_cast<NodeId>(Rng.nextBelow(2));
-    bool Invalidation = Info.recordAccess(
-        Node, Node, Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read,
-        Rng.nextBelow(64), 40, Node != 0);
-    benchmark::DoNotOptimize(Invalidation);
+    benchmark::DoNotOptimize(recordOnPage(Harness, Node, Node, Rng));
   }
+  Harness.Pages.quiesce();
 }
 BENCHMARK(BM_PageInfoRecord);
 
 /// The packed node table under genuine contention: every benchmark thread
-/// hammers one shared PageInfo from its own simulated node — the worst
-/// case for the page layer's single-word CAS, mirroring
+/// hammers one shared page from its own simulated node — the worst case
+/// for the page layer's single-word CAS, mirroring
 /// BM_TwoEntryTableContended one level up.
 void BM_PageInfoContended(benchmark::State &State) {
-  static core::PageInfo *Info = nullptr;
+  static OnePageHarness *Harness = nullptr;
   if (State.thread_index() == 0)
-    Info = new core::PageInfo(4096 / 64);
+    Harness = new OnePageHarness();
 
   SplitMix64 Rng(60 + State.thread_index());
+  ThreadId Tid = static_cast<ThreadId>(State.thread_index());
   NodeId Node = static_cast<NodeId>(State.thread_index() % 2);
-  for (auto _ : State) {
-    bool Invalidation = Info->recordAccess(
-        static_cast<ThreadId>(State.thread_index()), Node,
-        Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read,
-        Rng.nextBelow(64), 40, Node != 0);
-    benchmark::DoNotOptimize(Invalidation);
-  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(recordOnPage(*Harness, Tid, Node, Rng));
   State.SetItemsProcessed(State.iterations());
 
   if (State.thread_index() == 0) {
-    delete Info;
-    Info = nullptr;
+    Harness->Pages.quiesce();
+    delete Harness;
+    Harness = nullptr;
   }
 }
 BENCHMARK(BM_PageInfoContended)->ThreadRange(1, 8)->UseRealTime();
 
 /// Aggregate ingest throughput with the page stage on (line + page): the
 /// page-mode counterpart of BM_ThreadedIngest, comparable row-for-row to
-/// measure what the second granularity costs, in both CHEETAH_LOCKED_TABLE
-/// build modes (the locked build serializes page detail through the
-/// striped page mutexes exactly like the line path).
+/// measure what the second granularity costs.
 void BM_ThreadedIngestPageMode(benchmark::State &State) {
   struct PageHarness {
     NumaTopology Topology{2, 4096};
@@ -472,6 +383,7 @@ void BM_ThreadedIngestPageMode(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 
   if (State.thread_index() == 0) {
+    Harness->Detect.quiesce();
     delete Harness;
     Harness = nullptr;
   }
@@ -484,7 +396,8 @@ void BM_ProfilerBatchedIngest(benchmark::State &State) {
   constexpr unsigned BatchSize = 256;
   static core::Profiler *Prof = nullptr;
   if (State.thread_index() == 0) {
-    Prof = new core::Profiler(core::ProfilerConfig{});
+    core::ProfilerConfig Config;
+    Prof = new core::Profiler(Config);
     Prof->threadStarted(0, /*IsMain=*/true, 0);
     for (int T = 1; T <= State.threads(); ++T)
       Prof->threadStarted(static_cast<ThreadId>(T), /*IsMain=*/false, 10);
@@ -556,8 +469,7 @@ struct DetectorSink : pmu::SampleSink {
   void threadStarted(ThreadId, bool, uint64_t) override {}
   void threadFinished(ThreadId, bool, uint64_t) override {}
   void ingestBatch(const pmu::Sample *Samples, size_t Count) override {
-    for (size_t I = 0; I < Count; ++I)
-      benchmark::DoNotOptimize(Detect.handleSample(Samples[I], true));
+    benchmark::DoNotOptimize(Detect.handleBatch(Samples, Count, true));
   }
 };
 
@@ -591,16 +503,14 @@ struct IngestSweepRow {
 };
 
 /// Runs \p SamplesPerThread samples on each of \p Threads threads through
-/// one ingestion mode and returns the timed row. Sample generation and
-/// slice layout match the BM_ThreadedIngest* benchmarks; all threads
-/// start on a barrier so the wall-clock window covers only ingestion
-/// (plus, for the sharded mode, the epoch merge — it is part of that
-/// design's cost).
-IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
-                              uint64_t SamplesPerThread) {
+/// handleBatch in batches of \p BatchSize and returns the timed row under
+/// \p Mode. Sample generation and slice layout match the
+/// BM_ThreadedIngest benchmark; all threads start on a barrier so the
+/// wall-clock window covers only ingestion and the closing quiesce()
+/// merge, which is part of the engine's cost.
+IngestSweepRow runIngestSweep(const std::string &Mode, size_t BatchSize,
+                              unsigned Threads, uint64_t SamplesPerThread) {
   IngestHarness Harness(LinesPerIngestThread * Threads);
-  constexpr size_t StripeCount = 64;
-  std::vector<std::mutex> Stripes(StripeCount);
 
   std::atomic<bool> Go{false};
   std::vector<std::thread> Workers;
@@ -608,46 +518,23 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
     Workers.emplace_back([&, T] {
       SplitMix64 Rng(900 + T);
       uint64_t SliceBase = 0x4000'0000 + uint64_t(T) * LinesPerIngestThread * 64;
-      pmu::Sample Sample;
+      std::vector<pmu::Sample> Batch(BatchSize);
       while (!Go.load(std::memory_order_acquire)) {
       }
-      if (Mode == "batched") {
-        // The staged pipeline: identical sample stream, delivered in
-        // 256-sample batches through handleBatch.
-        std::vector<pmu::Sample> Batch(core::DecodedBatch::Capacity);
-        for (uint64_t I = 0; I < SamplesPerThread;) {
-          size_t N = static_cast<size_t>(
-              std::min<uint64_t>(Batch.size(), SamplesPerThread - I));
-          for (size_t J = 0; J < N; ++J) {
-            Batch[J].Address = SliceBase +
-                               Rng.nextBelow(LinesPerIngestThread) * 64 +
-                               Rng.nextBelow(16) * 4;
-            Batch[J].Tid = static_cast<ThreadId>(T * 4 + Rng.nextBelow(4));
-            Batch[J].IsWrite = Rng.nextBool(0.7);
-            Batch[J].LatencyCycles = 40;
-          }
-          benchmark::DoNotOptimize(
-              Harness.Detect.handleBatch(Batch.data(), N, true));
-          I += N;
+      for (uint64_t I = 0; I < SamplesPerThread;) {
+        size_t N = static_cast<size_t>(
+            std::min<uint64_t>(Batch.size(), SamplesPerThread - I));
+        for (size_t J = 0; J < N; ++J) {
+          Batch[J].Address = SliceBase +
+                             Rng.nextBelow(LinesPerIngestThread) * 64 +
+                             Rng.nextBelow(16) * 4;
+          Batch[J].Tid = static_cast<ThreadId>(T * 4 + Rng.nextBelow(4));
+          Batch[J].IsWrite = Rng.nextBool(0.7);
+          Batch[J].LatencyCycles = 40;
         }
-        return;
-      }
-      for (uint64_t I = 0; I < SamplesPerThread; ++I) {
-        Sample.Address = SliceBase + Rng.nextBelow(LinesPerIngestThread) * 64 +
-                         Rng.nextBelow(16) * 4;
-        Sample.Tid = static_cast<ThreadId>(T * 4 + Rng.nextBelow(4));
-        Sample.IsWrite = Rng.nextBool(0.7);
-        Sample.LatencyCycles = 40;
-        if (Mode == "shared") {
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
-        } else if (Mode == "locked") {
-          uint64_t Line = Sample.Address >> 6;
-          std::lock_guard<std::mutex> Lock(
-              Stripes[(Line * 0x9e3779b97f4a7c15ull) >> 58]);
-          benchmark::DoNotOptimize(Harness.Detect.handleSample(Sample, true));
-        } else {
-          ingestSampleSharded(Harness, Sample);
-        }
+        benchmark::DoNotOptimize(
+            Harness.Detect.handleBatch(Batch.data(), N, true));
+        I += N;
       }
     });
 
@@ -655,8 +542,7 @@ IngestSweepRow runIngestSweep(const std::string &Mode, unsigned Threads,
   Go.store(true, std::memory_order_release);
   for (std::thread &Worker : Workers)
     Worker.join();
-  if (Mode == "sharded")
-    Harness.Shadow.quiesce();
+  Harness.Detect.quiesce();
   auto End = std::chrono::steady_clock::now();
 
   IngestSweepRow Row;
@@ -737,6 +623,7 @@ IngestSweepRow runReplaySweep(uint64_t TotalSamples) {
   uint64_t Done = 0;
   while (Done < TotalSamples)
     Done += Tee.replayInto(Sink);
+  Harness.Detect.quiesce();
   auto End = std::chrono::steady_clock::now();
 
   IngestSweepRow Row;
@@ -747,16 +634,18 @@ IngestSweepRow runReplaySweep(uint64_t TotalSamples) {
   return Row;
 }
 
-/// Writes the shared/locked/sharded/batched x 1..8-thread sweep, the
-/// single-threaded trace-replay row, plus the decode-kernel dimension to
-/// \p Path as the `cheetah-bench-ingest-v3` document. \returns false on
-/// I/O failure.
+/// Writes the single/batched x 1..8-thread sweep, the single-threaded
+/// trace-replay row, plus the decode-kernel dimension to \p Path as the
+/// `cheetah-bench-ingest-v4` document. \returns false on I/O failure.
 bool emitIngestJson(const std::string &Path) {
   constexpr uint64_t SamplesPerThread = 1'000'000;
   std::vector<IngestSweepRow> Rows;
-  for (const char *Mode : {"shared", "locked", "sharded", "batched"})
+  const std::pair<const char *, size_t> Modes[] = {
+      {"single", 1}, {"batched", core::DecodedBatch::Capacity}};
+  for (const auto &[Mode, BatchSize] : Modes)
     for (unsigned Threads = 1; Threads <= 8; ++Threads) {
-      Rows.push_back(runIngestSweep(Mode, Threads, SamplesPerThread));
+      Rows.push_back(
+          runIngestSweep(Mode, BatchSize, Threads, SamplesPerThread));
       std::fprintf(stderr, "%-7s %u threads: %.1fM samples/sec/core\n",
                    Mode, Threads,
                    static_cast<double>(Rows.back().Samples) /
@@ -781,14 +670,8 @@ bool emitIngestJson(const std::string &Path) {
   std::string Text;
   JsonWriter Writer(Text);
   Writer.beginObject();
-  Writer.member("schema", "cheetah-bench-ingest-v3");
-#if CHEETAH_SHARDED_TABLE
-  Writer.member("build_mode", "sharded-table");
-#elif CHEETAH_LOCKED_TABLE
-  Writer.member("build_mode", "locked-table");
-#else
-  Writer.member("build_mode", "lock-free");
-#endif
+  Writer.member("schema", "cheetah-bench-ingest-v4");
+  Writer.member("nproc", std::thread::hardware_concurrency());
   Writer.member("samples_per_thread", SamplesPerThread);
   Writer.member("lines_per_thread", LinesPerIngestThread);
   Writer.member("simd_available", core::BatchDecoder::simdAvailable());
@@ -839,16 +722,6 @@ bool emitIngestJson(const std::string &Path) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Announce the build's detection mode so sweeps over both
-  // CHEETAH_LOCKED_TABLE configurations label their output unambiguously.
-  // On stderr: stdout must stay parseable under --benchmark_format=json.
-#if CHEETAH_LOCKED_TABLE
-  std::fprintf(stderr,
-               "cheetah detect mode: locked-table (PR-1 striped mutexes)\n");
-#else
-  std::fprintf(stderr,
-               "cheetah detect mode: lock-free (packed CAS table)\n");
-#endif
   // The dedicated ingest sweep replaces the google-benchmark run when
   // requested: deterministic sample streams, explicit timing, one JSON
   // document for the checked-in trajectory.

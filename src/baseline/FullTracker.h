@@ -62,7 +62,7 @@ public:
 
   /// Per-line findings with at least \p MinInvalidations, sorted by
   /// invalidation count (highest first). Quiesces the detector first so
-  /// sharded-build accumulation is folded back before the scan.
+  /// the per-thread shards are folded back before the scan.
   std::vector<FullTrackerFinding> findings(uint64_t MinInvalidations = 1);
 
   /// Total accesses instrumented.

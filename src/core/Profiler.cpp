@@ -83,36 +83,10 @@ void Profiler::threadFinished(ThreadId Tid, bool IsMain, uint64_t EndCycle) {
     Phases.threadFinished(Tid, EndCycle);
 }
 
-void Profiler::handleSample(const pmu::Sample &Sample) {
-  ingestBatch(&Sample, 1);
-}
-
 void Profiler::ingestBatch(const pmu::Sample *Samples, size_t Count) {
   if (Count == 0)
     return;
   SamplesIngested.fetch_add(Count, std::memory_order_relaxed);
-
-  if (Count == 1) {
-    // Single-sample fast path (the simulator's per-sample handler): one
-    // short critical section for the bookkeeping, detection outside it.
-    const pmu::Sample &Sample = Samples[0];
-    bool InParallel;
-    {
-      std::lock_guard<std::mutex> Lock(IngestMutex);
-      InParallel = Phases.inParallelPhase();
-      // Every thread records its own samples (F_SETOWN_EX-style dispatch).
-      if (Threads.known(Sample.Tid))
-        Threads.recordSample(Sample.Tid, Sample.LatencyCycles);
-      if (!InParallel && Shadow.covers(Sample.Address)) {
-        // Serial-phase samples have no false sharing: their latencies
-        // approximate AverCycles_nofs for EQ.1.
-        SerialLatency.add(Sample.LatencyCycles);
-        ++SerialSampleCount;
-      }
-    }
-    Detect.handleSample(Sample, InParallel);
-    return;
-  }
 
   // Phase state is read once per batch: sampling is statistical, so a batch
   // straddling a phase boundary attributes its samples to the phase active
@@ -183,9 +157,9 @@ void Profiler::ingestBatch(const pmu::Sample *Samples, size_t Count) {
   FlushBookkeeping();
 
   // Detection runs over the whole batch through the staged pipeline:
-  // vector decode, prefetched stage-1 counting, branchless filtering, and
-  // prefetched detail lookups — semantically identical to per-sample
-  // handleSample delivery, outside the ingest lock.
+  // vector decode, prefetched stage-1 counting, branchless filtering,
+  // prefetched detail lookups and per-thread shard records — outside the
+  // ingest lock.
   Detect.handleBatch(Samples, Count, InParallel);
 }
 
@@ -216,9 +190,8 @@ ReportRunStats Profiler::runStats(uint64_t AppRuntime) const {
 
 ProfileResult Profiler::finish(const sim::SimulationResult &Run,
                                ReportSink *Sink) {
-  // Epoch quiesce before any grain is read: in the sharded build this
-  // folds every per-thread shard back into the shared tables (and proves
-  // conservation); in the other builds it is a cheap no-op. The simulator
+  // Epoch quiesce before any grain is read: folds every per-thread shard
+  // back into the shared tables (and proves conservation). The simulator
   // has joined every thread by now, so no ingestion races the merge.
   Detect.quiesce();
   return buildReport(Run.TotalCycles, Sink);
@@ -226,8 +199,8 @@ ProfileResult Profiler::finish(const sim::SimulationResult &Run,
 
 ProfileResult Profiler::snapshotEpoch(uint64_t AppRuntime, ReportSink *Sink) {
   // Same fence as finish(): the caller guarantees no ingestion threads are
-  // in flight, so the shard merge (sharded build) and the eviction sweep
-  // below never race sample delivery.
+  // in flight, so the shard merge and the eviction sweep below never race
+  // sample delivery.
   Detect.quiesce();
   // Report first over the full epoch state, then trim: the snapshot the
   // caller streams out sees every grain that was live this epoch; only the

@@ -156,10 +156,6 @@ public:
   /// Run-level stats in sink form (valid after ingestion quiesces).
   ReportRunStats runStats(uint64_t AppRuntime) const;
 
-  /// Feeds one sample directly (used by tests and ablations).
-  /// Equivalent to ingestBatch(&Sample, 1).
-  void handleSample(const pmu::Sample &Sample);
-
   // pmu::SampleSink implementation — the only way samples and thread
   // lifecycle reach the profiler, whichever backend produces them.
 
@@ -173,7 +169,7 @@ public:
   /// Batched sample ingestion, safe to call from many application threads
   /// concurrently: per-thread registry and serial-latency bookkeeping is
   /// accumulated per batch and applied under one short lock, while the
-  /// detection hot path (atomic write counters + striped line locks) runs
+  /// detection hot path (atomic write counters + per-thread shards) runs
   /// without any profiler-wide serialization. This is what the per-thread
   /// sample buffers of the interpose runtime drain into; synchronous
   /// backends deliver batches of one.

@@ -29,12 +29,13 @@ public:
   explicit CacheLineInfo(uint64_t WordsPerLine)
       : GrainInfo(WordsPerLine) {}
 
-  /// Records one sampled access landing on this line. Lock-free:
-  /// concurrent calls from many ingesting threads never lose an update.
-  /// \returns true if it incurred a cache invalidation.
+  /// Records one sampled access landing on this line straight into the
+  /// shared counters (GrainInfo::recordMerged). Lock-free: concurrent calls
+  /// never lose an update. \returns true if it incurred a cache
+  /// invalidation.
   bool recordAccess(ThreadId Tid, AccessKind Kind, uint64_t WordIndex,
                     uint64_t WordSpan, uint64_t LatencyCycles) {
-    return record(Tid, Tid, Kind, WordIndex, WordSpan, LatencyCycles);
+    return recordMerged(Tid, Tid, Kind, WordIndex, WordSpan, LatencyCycles);
   }
 
   /// Value snapshot of the per-word statistics, one entry per word of the

@@ -52,11 +52,9 @@ BatchScratch &batchScratch() {
 /// words, and an access wider than a word spans several buckets.
 struct Detector::LineStage {
   Detector &D;
-  uint8_t AccessBytes;
-  /// Vector-decoded coordinates when running under the batch pipeline.
-  const DecodedBatch *Batch = nullptr;
+  /// The chunk's vector-decoded coordinates.
+  const DecodedBatch *Batch;
 
-  struct Prep {};
   struct Decoded {
     ThreadId Actor;
     uint64_t Bucket;
@@ -67,20 +65,8 @@ struct Detector::LineStage {
   ShadowMemory &table() { return D.Shadow; }
   uint32_t threshold() const { return D.Config.WriteThreshold; }
 
-  Prep prepare(const pmu::Sample &) { return {}; }
-
-  Decoded decode(const pmu::Sample &Sample, const Prep &) {
-    uint64_t WordIndex = D.Geometry.wordInLine(Sample.Address);
-    uint64_t LastByte = D.Geometry.offsetInLine(Sample.Address) +
-                        (AccessBytes ? AccessBytes : 1) - 1;
-    if (LastByte >= D.Geometry.lineSize())
-      LastByte = D.Geometry.lineSize() - 1; // clamp straddling accesses
-    uint64_t WordSpan = LastByte / WordSize - WordIndex + 1;
-    return {Sample.Tid, WordIndex, WordSpan, {}};
-  }
-
-  // Batch pipeline hooks: stage-1 state to pull ahead of the counter
-  // sweep, per-sample preparation (none at line grain), and the decoded
+  // Pipeline hooks: stage-1 state to pull ahead of the counter sweep,
+  // per-sample preparation (none at line grain), and the decoded
   // coordinates — already computed data-parallel for the whole chunk.
   void prefetchStage1(uint64_t Address) { D.Shadow.prefetchWriteCounter(Address); }
   void prepareAt(size_t, const pmu::Sample &) {}
@@ -101,15 +87,11 @@ struct Detector::LineStage {
 /// policy being modeled.
 struct Detector::PageStage {
   Detector &D;
-  /// Batch-pipeline prepare results, stored per sample index (the scratch
-  /// Node/Home arrays) so decodeAt can run in a later sweep.
-  NodeId *Nodes = nullptr;
-  NodeId *Homes = nullptr;
+  /// Prepare results, stored per sample index (the scratch Node/Home
+  /// arrays) so decodeAt can run in a later sweep.
+  NodeId *Nodes;
+  NodeId *Homes;
 
-  struct Prep {
-    NodeId Node;
-    NodeId Home;
-  };
   struct Decoded {
     NodeId Actor;
     uint64_t Bucket;
@@ -120,37 +102,25 @@ struct Detector::PageStage {
   PageTable &table() { return *D.Pages; }
   uint32_t threshold() const { return D.Config.PageWriteThreshold; }
 
-  Prep prepare(const pmu::Sample &Sample) {
-    NodeId Node = D.Topology->nodeOf(Sample.Tid);
-    NodeId Home = D.Pages->noteTouch(Sample.Address, Node);
-    return {Node, Home};
-  }
-
-  Decoded decode(const pmu::Sample &Sample, const Prep &P) {
-    bool Remote = P.Node != P.Home;
-    // Which node pair the sample crossed: the distance evidence behind the
-    // remoteByDistance report breakdown and the distance-weighted page
-    // assessment. Local samples cross nothing.
-    uint32_t Distance = Remote ? D.Topology->distance(P.Node, P.Home) : 0;
-    return {P.Node, D.Pages->lineIndexInPage(Sample.Address), 1,
-            {Remote, Distance}};
-  }
-
-  // Batch pipeline hooks. Preparation (first-touch home publication) runs
-  // in the stage-1 sweep for every covered sample regardless of phase,
-  // exactly like the per-sample path: homes are a placement property, not
-  // a sharing observation.
+  // Pipeline hooks. Preparation (first-touch home publication) runs in
+  // the stage-1 sweep for every covered sample regardless of phase: homes
+  // are a placement property, not a sharing observation.
   void prefetchStage1(uint64_t Address) {
     D.Pages->prefetchWriteCounter(Address);
     D.Pages->prefetchHome(Address);
   }
   void prepareAt(size_t I, const pmu::Sample &Sample) {
-    Prep P = prepare(Sample);
-    Nodes[I] = P.Node;
-    Homes[I] = P.Home;
+    Nodes[I] = D.Topology->nodeOf(Sample.Tid);
+    Homes[I] = D.Pages->noteTouch(Sample.Address, Nodes[I]);
   }
   Decoded decodeAt(size_t I, const pmu::Sample &Sample) {
-    return decode(Sample, Prep{Nodes[I], Homes[I]});
+    bool Remote = Nodes[I] != Homes[I];
+    // Which node pair the sample crossed: the distance evidence behind the
+    // remoteByDistance report breakdown and the distance-weighted page
+    // assessment. Local samples cross nothing.
+    uint32_t Distance = Remote ? D.Topology->distance(Nodes[I], Homes[I]) : 0;
+    return {Nodes[I], D.Pages->lineIndexInPage(Sample.Address), 1,
+            {Remote, Distance}};
   }
 
   void tally(bool Invalidation, const Decoded &A) {
@@ -163,44 +133,9 @@ struct Detector::PageStage {
 };
 
 template <typename Stage>
-bool Detector::runGrainStage(Stage &S, const pmu::Sample &Sample,
-                             bool InParallelPhase) {
-  auto &Table = S.table();
-
-  // Stage 1: cheap write counting on every covered sample. This is what
-  // makes write-once memory never pay for detailed tracking. Atomic, so
-  // concurrent ingesters never lose a count.
-  uint32_t GrainWrites = Sample.IsWrite ? Table.noteWrite(Sample.Address)
-                                        : Table.writeCount(Sample.Address);
-  auto Prep = S.prepare(Sample);
-
-  if (Config.OnlyParallelPhases && !InParallelPhase)
-    return false;
-
-  // Stage 2: detailed tracking only for susceptible grains.
-  auto *Info = Table.detail(Sample.Address);
-  if (!Info) {
-    if (GrainWrites <= S.threshold())
-      return false;
-    Info = &Table.materializeDetail(Sample.Address);
-  }
-
-  auto Decoded = S.decode(Sample, Prep);
-  // The table dispatches to the build's ingestion mode: the default
-  // lock-free shared path, the striped-mutex A/B path, or the per-thread
-  // shard path merged at quiesce().
-  bool Invalidation = Table.record(
-      Sample.Address, *Info, Sample.Tid, Decoded.Actor,
-      Sample.IsWrite ? AccessKind::Write : AccessKind::Read, Decoded.Bucket,
-      Decoded.Span, Sample.LatencyCycles, Decoded.Ctx);
-  S.tally(Invalidation, Decoded);
-  return true;
-}
-
-template <typename Stage>
-size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
-                                    size_t Count, const uint8_t *Covered,
-                                    bool InParallelPhase, uint8_t *Recorded) {
+size_t Detector::runStage(Stage &S, const pmu::Sample *Samples, size_t Count,
+                          const uint8_t *Covered, bool InParallelPhase,
+                          uint8_t *Recorded) {
   using InfoT = typename std::remove_reference_t<decltype(S.table())>::Info;
   auto &Table = S.table();
   BatchScratch &Scratch = batchScratch();
@@ -228,7 +163,7 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
   // Branchless stage-1 filter: compact the survivors' indices without a
   // single data-dependent branch, and without loading any detail pointer —
   // cold samples never dereference the shadow. The count-only predicate is
-  // exactly the per-sample detail-or-threshold check because write counts
+  // exactly "detail exists or count above threshold" because write counts
   // are monotone: a grain's detail exists iff some earlier sample already
   // saw its count above the threshold.
   const uint32_t Threshold = S.threshold();
@@ -249,9 +184,9 @@ size_t Detector::runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
     Scratch.Infos[J] = Table.detail(Samples[Scratch.Kept[J]].Address);
   }
 
-  // Record sweep: prefetch the grain records themselves ahead, then run
-  // the mode-dispatched record in original batch order (per-grain record
-  // order is what keeps reports byte-identical with per-sample delivery).
+  // Record sweep: prefetch the grain records themselves ahead, then record
+  // into this thread's shards in original batch order (per-grain record
+  // order is what keeps reports independent of how a stream is batched).
   for (size_t J = 0; J < NumKept; ++J) {
     size_t Ahead = J + PrefetchDistance;
     if (Ahead < NumKept && Scratch.Infos[Ahead])
@@ -296,13 +231,13 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
 
     if (Pages && Config.TrackPages) {
       PageStage Stage{*this, Scratch.Node, Scratch.Home};
-      runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
-                         InParallelPhase, Scratch.Recorded);
+      runStage(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
+               InParallelPhase, Scratch.Recorded);
     }
     if (Config.TrackLines) {
-      LineStage Stage{*this, AccessBytes, &Scratch.Decode};
-      runGrainStageBatch(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
-                         InParallelPhase, Scratch.Recorded);
+      LineStage Stage{*this, &Scratch.Decode};
+      runStage(Stage, ChunkSamples, Chunk, Scratch.Decode.Covered,
+               InParallelPhase, Scratch.Recorded);
     }
     for (size_t I = 0; I < Chunk; ++I)
       TotalRecorded += Scratch.Recorded[I];
@@ -310,53 +245,29 @@ size_t Detector::handleBatch(const pmu::Sample *Samples, size_t Count,
   return TotalRecorded;
 }
 
-bool Detector::handleSample(const pmu::Sample &Sample, bool InParallelPhase,
-                            uint8_t AccessBytes) {
-  SamplesSeen.fetch_add(1, std::memory_order_relaxed);
-  if (!Shadow.covers(Sample.Address)) {
-    // Kernel, libraries, stack: Cheetah filters these out (Section 4.1).
-    SamplesFiltered.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  bool PageRecorded = false;
-  if (Pages && Config.TrackPages) {
-    PageStage Stage{*this};
-    PageRecorded = runGrainStage(Stage, Sample, InParallelPhase);
-  }
-  if (!Config.TrackLines)
-    return PageRecorded;
-
-  LineStage Stage{*this, AccessBytes};
-  bool LineRecorded = runGrainStage(Stage, Sample, InParallelPhase);
-  return LineRecorded || PageRecorded;
-}
-
 void Detector::quiesce() {
   MergedLines += Shadow.quiesce();
   if (Pages)
     MergedPages += Pages->quiesce();
-#if CHEETAH_SHARDED_TABLE
-  // In the sharded build every detailed record went through a shard, so
-  // the cumulative merge totals must conserve exactly against the shared
-  // counters the detector kept alongside — the proof that no sample was
-  // lost between a shard and the shared table.
+  // Every detailed record went through a shard, so the cumulative merge
+  // totals must conserve exactly against the counters the detector kept
+  // alongside — the proof that no sample was lost between a shard and the
+  // shared table.
   CHEETAH_ASSERT(MergedLines.Accesses ==
                      SamplesRecorded.load(std::memory_order_relaxed),
-                 "sharded merge lost line samples");
+                 "shard merge lost line samples");
   CHEETAH_ASSERT(MergedLines.Invalidations ==
                      Invalidations.load(std::memory_order_relaxed),
-                 "sharded merge lost line invalidations");
+                 "shard merge lost line invalidations");
   CHEETAH_ASSERT(MergedPages.Accesses ==
                      PageSamplesRecorded.load(std::memory_order_relaxed),
-                 "sharded merge lost page samples");
+                 "shard merge lost page samples");
   CHEETAH_ASSERT(MergedPages.Invalidations ==
                      PageInvalidations.load(std::memory_order_relaxed),
-                 "sharded merge lost cross-node invalidations");
+                 "shard merge lost cross-node invalidations");
   CHEETAH_ASSERT(MergedPages.RemoteAccesses ==
                      RemoteSamples.load(std::memory_order_relaxed),
-                 "sharded merge lost remote samples");
-#endif
+                 "shard merge lost remote samples");
 }
 
 std::vector<GrainStageSummary> Detector::stageSummaries() const {

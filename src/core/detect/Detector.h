@@ -11,17 +11,15 @@
 /// a future third grain slots in the same way): maintain the stage-1 write
 /// counters, materialize detailed tracking for susceptible grains (write
 /// count above threshold), decode the sample into the grain's actor/bucket
-/// coordinates, and record it through the table's build-configured
-/// ingestion mode. Detailed tracking is gated to parallel phases to avoid
-/// reporting initialize-then-share objects as shared (Section 2.4).
+/// coordinates, and record it into the ingesting thread's table shard.
+/// Detailed tracking is gated to parallel phases to avoid reporting
+/// initialize-then-share objects as shared (Section 2.4).
 ///
-/// handleSample is safe to call from many ingesting threads concurrently
-/// and, in the default build, entirely lock-free. Building with
-/// -DCHEETAH_LOCKED_TABLE=ON restores the PR-1 striped grain mutexes for
-/// A/B benchmarking; -DCHEETAH_SHARDED_TABLE=ON routes detailed recording
-/// into per-thread shards instead, which quiesce() folds back into the
-/// shared tables — proving, in that build, that the merge conserved every
-/// sample against the detector's own shared counters.
+/// There is one ingestion engine: handleBatch, safe to call from many
+/// ingesting threads concurrently and lock-free on the hot path.
+/// handleSample is a batch of one. quiesce() folds every per-thread shard
+/// back into the shared tables, proves that the merge conserved every
+/// sample against the detector's own counters, and releases the shards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,52 +95,52 @@ class Detector {
 public:
   Detector(const CacheGeometry &Geometry, ShadowMemory &Shadow,
            const DetectorConfig &Config)
-      : Geometry(Geometry), Shadow(Shadow), Config(Config),
+      : Shadow(Shadow), Config(Config),
         LineDecoder(Geometry, Shadow.regions()) {}
 
   /// Enables the page-granularity stage: samples additionally update
   /// \p PageTable, with thread ids mapped to NUMA nodes through
   /// \p Topology. Both must outlive the detector. Call before ingestion
-  /// starts (not thread-safe against concurrent handleSample).
+  /// starts (not thread-safe against concurrent handleBatch).
   void attachPageTable(PageTable &Table, const NumaTopology &T) {
     Pages = &Table;
     Topology = &T;
   }
-
-  /// Processes one PMU sample. \p InParallelPhase reflects the phase
-  /// tracker's state at delivery time. \p AccessBytes is the access width
-  /// for word marking. Thread-safe.
-  /// \returns true if the sample was recorded in detailed tracking (at
-  /// either granularity).
-  bool handleSample(const pmu::Sample &Sample, bool InParallelPhase,
-                    uint8_t AccessBytes = 4);
 
   /// Processes \p Count samples through the staged, data-parallel batch
   /// pipeline — per grain stage: vector decode of the whole chunk
   /// (coverage + line coordinates via the runtime-dispatched SIMD kernel),
   /// a software-prefetched stage-1 write-counter sweep, a branchless
   /// susceptibility filter that keeps cold samples from ever dereferencing
-  /// grain details, and a distance-pipelined lookup + record sweep over
-  /// the survivors. Semantically identical to calling handleSample on each
-  /// sample in order, and equally thread-safe — concurrent ingesters may
-  /// deliver batches simultaneously.
+  /// grain details, and a distance-pipelined lookup + shard-record sweep
+  /// over the survivors. \p InParallelPhase reflects the phase tracker's
+  /// state at delivery time; \p AccessBytes is the access width for word
+  /// marking. How a stream is split into batches never changes the result.
+  /// Thread-safe: concurrent ingesters may deliver batches simultaneously.
   /// \returns the number of samples recorded in detailed tracking (at
   /// either granularity).
   size_t handleBatch(const pmu::Sample *Samples, size_t Count,
                      bool InParallelPhase, uint8_t AccessBytes = 4);
 
+  /// One sample as a batch of one. \returns true if it was recorded in
+  /// detailed tracking (at either granularity).
+  bool handleSample(const pmu::Sample &Sample, bool InParallelPhase,
+                    uint8_t AccessBytes = 4) {
+    return handleBatch(&Sample, 1, InParallelPhase, AccessBytes) != 0;
+  }
+
   /// The decode kernel the batch pipeline dispatches to (bench/tests).
   DecodeKernel decodeKernel() const { return LineDecoder.kernel(); }
 
   /// Epoch quiesce: folds every per-thread table shard back into the
-  /// shared tables. Must not run concurrently with handleSample — the
-  /// caller provides the happens-before edge (thread join / batch flush).
-  /// A no-op source of work in unsharded builds (no shards ever register
-  /// through the detector), and cheap either way.
+  /// shared tables and releases the shards. Must not run concurrently with
+  /// handleBatch — the caller provides the happens-before edge (thread
+  /// join / batch flush). Grain readers must quiesce first: until then a
+  /// recorded sample lives only in its thread's shard.
   ///
-  /// In the CHEETAH_SHARDED_TABLE build this also *proves conservation*:
-  /// the cumulative merged totals must equal the detector's shared
-  /// counters, or the merge lost samples and an assertion fires.
+  /// It also *proves conservation*: the cumulative merged totals must
+  /// equal the detector's own counters, or the merge lost samples and an
+  /// assertion fires.
   void quiesce();
 
   /// Cumulative merge totals across every quiesce() so far (tests).
@@ -181,26 +179,16 @@ private:
   struct LineStage;
   struct PageStage;
 
-  /// One grain stage's pipeline over one covered sample: stage-1 write
-  /// counting, stage-specific preparation (runs before the phase gate —
-  /// e.g. first-touch home publication), the parallel-phase gate,
-  /// susceptibility-thresholded materialization, sample decoding into
-  /// actor/bucket coordinates, and the mode-dispatched record.
-  /// \returns true if the sample reached detailed tracking.
-  template <typename Stage>
-  bool runGrainStage(Stage &S, const pmu::Sample &Sample,
-                     bool InParallelPhase);
-
-  /// The batched counterpart: one grain stage's pipeline over a decoded
-  /// chunk (stage-1 counter sweep with prefetch, branchless filter,
-  /// prefetched lookup and record sweeps). Marks recorded samples in
+  /// One grain stage's pipeline over a decoded chunk (stage-1 counter
+  /// sweep with prefetch and stage preparation — e.g. first-touch home
+  /// publication, before the phase gate — then the branchless filter,
+  /// prefetched lookup and shard-record sweeps). Marks recorded samples in
   /// \p Recorded and returns how many this stage recorded.
   template <typename Stage>
-  size_t runGrainStageBatch(Stage &S, const pmu::Sample *Samples,
-                            size_t Count, const uint8_t *Covered,
-                            bool InParallelPhase, uint8_t *Recorded);
+  size_t runStage(Stage &S, const pmu::Sample *Samples, size_t Count,
+                  const uint8_t *Covered, bool InParallelPhase,
+                  uint8_t *Recorded);
 
-  CacheGeometry Geometry;
   ShadowMemory &Shadow;
   DetectorConfig Config;
   PageTable *Pages = nullptr;

@@ -99,24 +99,6 @@ size_t ThreadStatsChain::overflowBytes() const {
   return Bytes;
 }
 
-void AtomicBucketStats::record(uint32_t Actor, AccessKind Kind,
-                               uint64_t LatencyCycles) {
-  if (Kind == AccessKind::Read)
-    Reads.fetch_add(1, std::memory_order_relaxed);
-  else
-    Writes.fetch_add(1, std::memory_order_relaxed);
-  if (LatencyCycles)
-    Cycles.fetch_add(LatencyCycles, std::memory_order_relaxed);
-  uint32_t First = FirstActor.load(std::memory_order_relaxed);
-  if (First == NoActor &&
-      FirstActor.compare_exchange_strong(First, Actor,
-                                         std::memory_order_relaxed))
-    First = Actor;
-  // On CAS failure `First` holds the actor that won the publication race.
-  if (First != Actor)
-    MultiActor.store(true, std::memory_order_relaxed);
-}
-
 void AtomicBucketStats::merge(const ShardBucketStats &Bucket) {
   if (Bucket.Reads == 0 && Bucket.Writes == 0)
     return; // untouched in this shard
@@ -150,6 +132,10 @@ void PageShardExtras::record(NodeId Node, AccessKind Kind,
   if (Ctx.Remote) {
     RemoteAccesses += 1;
     RemoteCycles += LatencyCycles;
+    // Every remote sample lands in a bucket so the breakdown always
+    // conserves against RemoteAccesses. Validated topologies hand in
+    // distances >= 1; a caller passing 0 (no distance information) folds
+    // into the default remote distance.
     uint32_t Distance =
         Ctx.Distance ? Ctx.Distance : NumaTopology::DefaultRemoteDistance;
     auto It = std::find_if(Remote.begin(), Remote.end(),
@@ -175,27 +161,6 @@ PageGrainExtras::PageGrainExtras() {
     NodeWrites[N].store(0, std::memory_order_relaxed);
     NodeCycles[N].store(0, std::memory_order_relaxed);
   }
-}
-
-void PageGrainExtras::record(NodeId Node, AccessKind Kind,
-                             uint64_t LatencyCycles,
-                             const PageAccessContext &Ctx) {
-  CHEETAH_ASSERT(Node < NumaTopology::MaxNodes, "node id out of range");
-  if (Ctx.Remote) {
-    RemoteAccesses.fetch_add(1, std::memory_order_relaxed);
-    RemoteCycles.fetch_add(LatencyCycles, std::memory_order_relaxed);
-    // Every remote sample lands in a bucket so the breakdown always
-    // conserves against RemoteAccesses. Validated topologies hand in
-    // distances >= 1; a caller passing 0 (no distance information) folds
-    // into the default remote distance.
-    bucketRemote(Ctx.Distance ? Ctx.Distance
-                              : NumaTopology::DefaultRemoteDistance,
-                 1, LatencyCycles);
-  }
-  NodeAccesses[Node].fetch_add(1, std::memory_order_relaxed);
-  if (Kind == AccessKind::Write)
-    NodeWrites[Node].fetch_add(1, std::memory_order_relaxed);
-  NodeCycles[Node].fetch_add(LatencyCycles, std::memory_order_relaxed);
 }
 
 void PageGrainExtras::merge(const PageShardExtras &Shard) {

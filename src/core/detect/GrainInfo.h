@@ -21,21 +21,17 @@
 ///    remote-traffic totals, per-node accumulators, and remoteByDistance
 ///    buckets; the line grain adds nothing).
 ///
-/// Every mutable field is a relaxed atomic and the table transition is a
-/// single-word CAS, so `record` is lock-free from any number of ingesting
-/// threads. Readers that run after ingestion quiesces (report generation,
-/// tests) take plain value snapshots.
-///
-/// Each grain additionally knows how to accumulate into and merge from a
+/// A sample is recorded in two steps. `recordShard` accumulates it into a
 /// per-thread **shard record** (`GrainShardRecord<Traits>`): plain,
 /// single-writer fields a thread fills without any cross-thread CAS
-/// traffic, folded back into the shared atomics at epoch quiesce. Only the
-/// additive statistics shard; the two-entry table stays shared because the
+/// traffic. `mergeShard` folds a shard record back into the grain's shared
+/// relaxed atomics at epoch quiesce. Only the additive statistics shard;
+/// the two-entry table stays shared (a single-word CAS) because the
 /// invalidation decision depends on the global interleaving of actors,
 /// which is also what makes the merge *provable* — merged totals must
-/// conserve against the shared-table counters. The shard machinery is
-/// always compiled; `CHEETAH_SHARDED_TABLE` only switches the detector's
-/// ingestion dispatch onto it.
+/// conserve against the detector's own counters. Readers that run after
+/// ingestion quiesces (report generation, tests) take plain value
+/// snapshots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,6 +102,7 @@ struct NodePageStats {
 /// fixed-capacity block; the chain grows by CAS-publishing the next block,
 /// so the thread population is unbounded while the common case (a handful
 /// of threads) stays in the inline first block with no indirection.
+/// Merged shard records are its only writers.
 class ThreadStatsChain {
 public:
   ThreadStatsChain() = default;
@@ -114,14 +111,9 @@ public:
   ThreadStatsChain(const ThreadStatsChain &) = delete;
   ThreadStatsChain &operator=(const ThreadStatsChain &) = delete;
 
-  /// Finds (or claims) \p Tid's slot and accumulates one access. Lock-free;
-  /// safe from any number of ingesting threads.
-  void record(ThreadId Tid, uint64_t LatencyCycles) {
-    add(Tid, 1, LatencyCycles);
-  }
-
-  /// Bulk variant: accumulates \p Accesses accesses and \p Cycles cycles in
-  /// one claim — how a merged shard folds its per-thread totals back in.
+  /// Finds (or claims) \p Tid's slot and accumulates \p Accesses accesses
+  /// and \p Cycles cycles in one claim — how a merged shard folds its
+  /// per-thread totals back in. Lock-free.
   void add(ThreadId Tid, uint64_t Accesses, uint64_t Cycles);
 
   /// Value snapshot of every claimed slot, ordered by thread id.
@@ -175,7 +167,7 @@ struct ShardBucketStats {
 
 /// Atomic backing store for one histogram bucket (per-word at line
 /// granularity with thread actors, per-line at page granularity with node
-/// actors).
+/// actors), filled by merged shard buckets.
 struct AtomicBucketStats {
   std::atomic<uint64_t> Reads{0};
   std::atomic<uint64_t> Writes{0};
@@ -183,7 +175,6 @@ struct AtomicBucketStats {
   std::atomic<uint32_t> FirstActor{NoActor};
   std::atomic<bool> MultiActor{false};
 
-  void record(uint32_t Actor, AccessKind Kind, uint64_t LatencyCycles);
   void merge(const ShardBucketStats &Bucket);
   WordStats snapshot() const;
 };
@@ -223,7 +214,6 @@ struct LineShardExtras {
 /// so the line record stays exactly as wide as before the generalization —
 /// the shadow-bytes accounting the goldens embed depends on it).
 struct LineGrainExtras {
-  void record(uint32_t, AccessKind, uint64_t, const LineAccessContext &) {}
   void merge(const LineShardExtras &) {}
   uint64_t remoteAccesses() const { return 0; }
 };
@@ -274,8 +264,6 @@ struct PageGrainExtras {
 
   PageGrainExtras();
 
-  void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
-              const PageAccessContext &Ctx);
   void merge(const PageShardExtras &Shard);
 
   uint64_t remoteAccesses() const {
@@ -347,42 +335,13 @@ public:
   GrainInfo(const GrainInfo &) = delete;
   GrainInfo &operator=(const GrainInfo &) = delete;
 
-  /// Records one sampled access landing on this grain into the shared
-  /// atomics. Lock-free: concurrent calls from many ingesting threads
-  /// never lose an update. \returns true if it incurred an invalidation.
-  bool record(ThreadId Tid, ActorId Actor, AccessKind Kind,
-              uint64_t BucketIndex, uint64_t BucketSpan,
-              uint64_t LatencyCycles, const Context &Ctx = {}) {
-    CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
-    CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
-
-    bool Invalidation = Table.recordAccess(Actor, Kind);
-    if (Invalidation)
-      Invalidations.fetch_add(1, std::memory_order_relaxed);
-
-    Accesses.fetch_add(1, std::memory_order_relaxed);
-    if (Kind == AccessKind::Write)
-      Writes.fetch_add(1, std::memory_order_relaxed);
-    Cycles.fetch_add(LatencyCycles, std::memory_order_relaxed);
-    ExtraStats.record(Actor, Kind, LatencyCycles, Ctx);
-
-    // An access wider than a bucket (e.g. a 64-bit store over 4-byte
-    // words) marks every covered bucket; latency attributes to the first
-    // bucket to avoid double counting.
-    uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
-    for (uint64_t B = BucketIndex; B < End; ++B)
-      Buckets[B].record(Actor, Kind, B == BucketIndex ? LatencyCycles : 0);
-
-    ThreadStats.record(Tid, LatencyCycles);
-    return Invalidation;
-  }
-
-  /// Sharded-mode record: the invalidation decision still goes through the
-  /// shared two-entry table (it depends on the global actor interleaving,
-  /// which no per-thread shard can see alone), but every additive
-  /// statistic lands in \p Record — plain fields only this thread writes,
-  /// with no cross-thread CAS traffic. Fold back with mergeShard at epoch
-  /// quiesce.
+  /// Records one sampled access landing on this grain: the invalidation
+  /// decision goes through the shared two-entry table (it depends on the
+  /// global actor interleaving, which no per-thread shard can see alone),
+  /// but every additive statistic lands in \p Record — plain fields only
+  /// this thread writes, with no cross-thread CAS traffic. Fold back with
+  /// mergeShard at epoch quiesce. \returns true if it incurred an
+  /// invalidation.
   bool recordShard(ShardRecord &Record, ThreadId Tid, ActorId Actor,
                    AccessKind Kind, uint64_t BucketIndex, uint64_t BucketSpan,
                    uint64_t LatencyCycles, const Context &Ctx = {}) {
@@ -399,6 +358,9 @@ public:
     Record.Cycles += LatencyCycles;
     Record.Extras.record(Actor, Kind, LatencyCycles, Ctx);
 
+    // An access wider than a bucket (e.g. a 64-bit store over 4-byte
+    // words) marks every covered bucket; latency attributes to the first
+    // bucket to avoid double counting.
     if (Record.Buckets.empty())
       Record.Buckets.resize(BucketCount);
     uint64_t End = std::min<uint64_t>(BucketIndex + BucketSpan, BucketCount);
@@ -431,6 +393,20 @@ public:
       Buckets[B].merge(Record.Buckets[B]);
     for (const ThreadLineStats &Thread : Record.Threads)
       ThreadStats.add(Thread.Tid, Thread.Accesses, Thread.Cycles);
+  }
+
+  /// Records one access straight into the shared counters by merging a
+  /// one-sample shard record — the same accumulate-and-merge code a
+  /// table's per-thread shards run, for callers holding a bare grain (unit
+  /// tests, reference checks). Detection records through GrainTable.
+  bool recordMerged(ThreadId Tid, ActorId Actor, AccessKind Kind,
+                    uint64_t BucketIndex, uint64_t BucketSpan,
+                    uint64_t LatencyCycles, const Context &Ctx = {}) {
+    ShardRecord Record;
+    bool Invalidation = recordShard(Record, Tid, Actor, Kind, BucketIndex,
+                                    BucketSpan, LatencyCycles, Ctx);
+    mergeShard(Record);
+    return Invalidation;
   }
 
   /// Invalidation count (the significance signal).

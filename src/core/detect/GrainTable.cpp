@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The non-template pieces of the shard registry: a process-wide id
-/// generator (one id per table instance, never reused) and a small
+/// generator (one id per table instance and epoch, never reused) and a small
 /// per-thread cache mapping table ids to this thread's shard. The cache is
 /// a fixed ring — a thread juggling more tables than slots just re-registers
 /// a fresh shard after eviction, which the merge handles naturally.

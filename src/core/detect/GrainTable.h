@@ -16,26 +16,25 @@
 ///    first-touch placement policy,
 ///  - a lazily materialized `InfoT` pointer for susceptible grains.
 ///
-/// All of it is lock-free in the default build: counters are relaxed
-/// atomics, homes and details are CAS-published (losing allocators delete
-/// their copy), and a materialized GrainInfo is internally lock-free.
-/// Building with -DCHEETAH_LOCKED_TABLE=ON restores the PR-1 striped grain
-/// mutexes around detail mutation for A/B benchmarking.
+/// Counters are relaxed atomics, homes and details are CAS-published
+/// (losing allocators delete their copy), and a materialized GrainInfo's
+/// two-entry table is a single-word CAS state machine.
 ///
-/// ## Epoch-sharded ingestion
+/// ## Per-thread shard ingestion
 ///
-/// The table also owns the **per-thread shard registry**: each ingesting OS
-/// thread lazily registers a shard (a map from grain base to a plain-field
-/// GrainShardRecord) and accumulates into it with zero cross-thread CAS
-/// traffic; `quiesce()` folds every shard back into the shared atomics in
-/// deterministic order (shards by registration order, grains by address)
-/// and reports merge totals so callers can prove conservation against the
-/// shared-table counters. Shards key on the *ingesting OS thread*, not the
+/// The table also owns the **per-thread shard registry**, the one way a
+/// sample is recorded: each ingesting OS thread lazily registers a shard (a
+/// map from grain base to a plain-field GrainShardRecord) and `record()`
+/// accumulates into it with zero cross-thread CAS traffic beyond the shared
+/// two-entry table. `quiesce()` folds every shard back into the shared
+/// atomics in deterministic order (shards by registration order, grains by
+/// address), reports merge totals so callers can prove conservation
+/// against their own counters, and then releases every shard: the next
+/// epoch starts from an empty registry, so threads that have exited leave
+/// nothing behind. Shards key on the *ingesting OS thread*, not the
 /// sample's tid — several OS threads may legitimately deliver samples
 /// carrying the same simulated tid, and single-writer shard ownership must
-/// hold regardless. The machinery is always compiled (benchmarks and the
-/// merge-conservation tests exercise it in every build);
-/// -DCHEETAH_SHARDED_TABLE=ON merely routes `record()` through it.
+/// hold regardless.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,11 +53,6 @@
 #include <mutex>
 #include <unordered_map>
 #include <vector>
-
-#if CHEETAH_LOCKED_TABLE
-#include <array>
-#include <bit>
-#endif
 
 namespace cheetah {
 namespace core {
@@ -106,9 +100,10 @@ struct GrainEvictionStats {
 };
 
 namespace detail {
-/// Globally unique id per GrainTable instance, never reused — what makes
-/// the per-thread shard cache safe against table destruction (a stale
-/// cache entry can never match a new table).
+/// Globally unique id per GrainTable instance and epoch, never reused —
+/// what makes the per-thread shard cache safe against table destruction
+/// and against quiesce() releasing the shards (a stale cache entry can
+/// never match a new table or a later epoch).
 uint64_t nextGrainRegistryId();
 /// Thread-local lookup of this thread's shard for the table \p RegistryId;
 /// nullptr on miss (including after eviction, which just re-registers).
@@ -312,64 +307,32 @@ public:
     }
   }
 
-#if CHEETAH_LOCKED_TABLE
-  /// The PR-1 striped lock serializing mutation of \p Address's grain
-  /// detail. Only exists in the locked A/B build; the default ingestion
-  /// path is lock-free and this member is compiled out.
-  std::mutex &grainLock(uint64_t Address) {
-    // Fibonacci hash of the grain index spreads adjacent grains across
-    // stripes; the top bits of the product index the stripe array.
-    static_assert((LockStripeCount & (LockStripeCount - 1)) == 0,
-                  "stripe count must be a power of two");
-    constexpr unsigned Shift = 64 - std::bit_width(LockStripeCount - 1);
-    uint64_t Grain = Address >> GrainShift;
-    return LockStripes[(Grain * 0x9e3779b97f4a7c15ull) >> Shift];
-  }
-#endif
-
   /// First byte address of the grain containing \p Address.
   uint64_t grainBase(uint64_t Address) const {
     return Address & ~(GrainSize - 1);
   }
 
-  /// Records one decoded sample into \p Info through the build's configured
-  /// ingestion mode: per-thread shard (CHEETAH_SHARDED_TABLE), striped
-  /// mutex (CHEETAH_LOCKED_TABLE), or the default lock-free shared path.
+  /// Records one decoded sample on \p Info, the materialized detail for
+  /// \p Address's grain: the invalidation decision goes through the grain's
+  /// shared two-entry table (it depends on the global actor interleaving,
+  /// which no shard sees alone), every additive statistic into this OS
+  /// thread's shard until quiesce() folds it back.
+  /// \returns true if the sample incurred an invalidation.
   bool record(uint64_t Address, InfoT &Info, ThreadId Tid, ActorId Actor,
               AccessKind Kind, uint64_t Bucket, uint64_t Span,
               uint64_t LatencyCycles, const Context &Ctx = {}) {
-#if CHEETAH_SHARDED_TABLE
-    return recordSharded(Address, Info, Tid, Actor, Kind, Bucket, Span,
-                         LatencyCycles, Ctx);
-#else
-#if CHEETAH_LOCKED_TABLE
-    std::lock_guard<std::mutex> Lock(grainLock(Address));
-#else
-    (void)Address;
-#endif
-    return Info.record(Tid, Actor, Kind, Bucket, Span, LatencyCycles, Ctx);
-#endif
-  }
-
-  /// The sharded ingestion path, callable in every build (benchmarks and
-  /// conservation tests A/B it against the shared path): accumulates into
-  /// this OS thread's shard with no cross-thread CAS traffic beyond the
-  /// shared two-entry table transition. \p Info must be the materialized
-  /// detail for \p Address's grain.
-  bool recordSharded(uint64_t Address, InfoT &Info, ThreadId Tid,
-                     ActorId Actor, AccessKind Kind, uint64_t Bucket,
-                     uint64_t Span, uint64_t LatencyCycles,
-                     const Context &Ctx = {}) {
     ShardRecord &Record = localShard().Records[grainBase(Address)];
     return Info.recordShard(Record, Tid, Actor, Kind, Bucket, Span,
                             LatencyCycles, Ctx);
   }
 
-  /// Epoch quiesce: folds every shard back into the shared atomics and
-  /// empties the shards, so successive epochs merge only their deltas.
-  /// Deterministic — shards merge in registration order, grains in address
-  /// order. Must not run concurrently with sharded ingestion; the caller
-  /// provides the happens-before edge (thread join / phase barrier).
+  /// Epoch quiesce: folds every shard back into the shared atomics, then
+  /// releases all shard storage and retires the registry id, so successive
+  /// epochs merge only their deltas and every thread's cached shard goes
+  /// stale (its next record registers a fresh one). Deterministic — shards
+  /// merge in registration order, grains in address order. Must not run
+  /// concurrently with record(); the caller provides the happens-before
+  /// edge (thread join / phase barrier).
   GrainMergeStats quiesce() {
     GrainMergeStats Stats;
     std::lock_guard<std::mutex> Lock(ShardMutex);
@@ -393,12 +356,14 @@ public:
         Stats.Invalidations += Record.Invalidations;
         Stats.RemoteAccesses += Record.Extras.remoteAccesses();
       }
-      ShardPtr->Records.clear();
     }
+    Shards.clear();
+    RegistryId = detail::nextGrainRegistryId();
     return Stats;
   }
 
-  /// Number of registered per-thread shards (tests/benchmarks).
+  /// Number of per-thread shards registered since the last quiesce()
+  /// (tests).
   size_t shardCount() const {
     std::lock_guard<std::mutex> Lock(ShardMutex);
     return Shards.size();
@@ -475,9 +440,9 @@ public:
   /// Total heap bytes behind this table — the denominator the eviction
   /// budget is enforced against. Unlike metadataBytes() (the
   /// report-visible shadow-bytes number, which intentionally keeps its
-  /// historical meaning), this also counts the sharded-mode shard records,
-  /// the budgeted-mode epoch baselines, and any not-yet-reclaimed retired
-  /// infos. Must not race sharded ingestion (same fence as quiesce()).
+  /// historical meaning), this also counts the live shard records, the
+  /// budgeted-mode epoch baselines, and any not-yet-reclaimed retired
+  /// infos. Must not race record() (same fence as quiesce()).
   size_t footprintBytes() const {
     size_t Bytes = metadataBytes() + shardBytes();
     for (const Slab &Region : Slabs)
@@ -491,7 +456,8 @@ public:
   /// Heap bytes behind the per-thread shard registry, by allocation-size
   /// arithmetic: each shard's map (hash-bucket array plus one node —
   /// key/value pair and chain pointer — per record) and each record's
-  /// vector capacities. Same fence contract as quiesce().
+  /// vector capacities. 0 right after quiesce(), which releases them all.
+  /// Same fence contract as quiesce().
   size_t shardBytes() const {
     std::lock_guard<std::mutex> Lock(ShardMutex);
     size_t Bytes = 0;
@@ -657,9 +623,9 @@ private:
     return static_cast<size_t>((Address - Region.Base) >> GrainShift);
   }
 
-  /// This OS thread's shard for this table, registering one on first use
-  /// (or after cache eviction — a thread may own several shards of one
-  /// table; single-writer ownership holds either way).
+  /// This OS thread's shard for this table's current epoch, registering one
+  /// on first use (or after cache eviction — a thread may own several
+  /// shards of one epoch; single-writer ownership holds either way).
   Shard &localShard() {
     if (void *Cached = detail::cachedShardFor(RegistryId))
       return *static_cast<Shard *>(Cached);
@@ -676,12 +642,11 @@ private:
   unsigned GrainShift;
   uint64_t GrainSize;
   uint64_t BucketsPerGrain;
+  /// Keys this thread's cached shard: globally unique per table and
+  /// epoch, never reused, so quiesce() invalidates every thread's cache
+  /// by drawing a fresh one. Written only under the quiesce() fence.
   uint64_t RegistryId;
   std::vector<Slab> Slabs;
-#if CHEETAH_LOCKED_TABLE
-  static constexpr size_t LockStripeCount = 64;
-  std::array<std::mutex, LockStripeCount> LockStripes;
-#endif
   std::atomic<size_t> MaterializedCount{0};
   /// Guards shard registration and merge; never taken on the per-sample
   /// ingestion path (the thread-local cache short-circuits it).

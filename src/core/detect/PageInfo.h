@@ -48,8 +48,9 @@ class PageInfo : public GrainInfo<PageGrainTraits> {
 public:
   explicit PageInfo(uint64_t LinesPerPage) : GrainInfo(LinesPerPage) {}
 
-  /// Records one sampled access landing on this page. Lock-free; safe from
-  /// any number of ingesting threads.
+  /// Records one sampled access landing on this page straight into the
+  /// shared counters (GrainInfo::recordMerged). Lock-free; safe from any
+  /// number of threads.
   /// \param Tid the accessing thread (feeds the per-thread EQ.2 breakdown).
   /// \param Node the accessing thread's NUMA node.
   /// \param LineIndex index of the touched cache line within the page.
@@ -63,8 +64,8 @@ public:
   bool recordAccess(ThreadId Tid, NodeId Node, AccessKind Kind,
                     uint64_t LineIndex, uint64_t LatencyCycles, bool Remote,
                     uint32_t Distance = 0) {
-    return record(Tid, Node, Kind, LineIndex, /*BucketSpan=*/1,
-                  LatencyCycles, PageAccessContext{Remote, Distance});
+    return recordMerged(Tid, Node, Kind, LineIndex, /*BucketSpan=*/1,
+                        LatencyCycles, PageAccessContext{Remote, Distance});
   }
 
   /// Sampled accesses issued from a node other than the page's home, and

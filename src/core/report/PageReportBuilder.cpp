@@ -126,9 +126,14 @@ PageReportBuilder::Output PageReportBuilder::finalize(const Assessor &Assess,
   // aggregates cache lines into objects before assessing.
   std::map<std::string, ObjectAccessProfile> SiteProfiles;
   auto SiteKey = [](const PageSharingReport &Report) {
-    if (Report.Objects.empty())
-      return std::string("@") + std::to_string(Report.PageBase);
     std::string Key;
+    if (Report.Objects.empty()) {
+      // push_back, not `"@" + ...` or `= "@"`: GCC 12 inlines those into
+      // a char_traits memcpy it falsely flags under -Wrestrict.
+      Key.push_back('@');
+      Key += std::to_string(Report.PageBase);
+      return Key;
+    }
     for (const std::string &Name : Report.Objects) {
       if (!Key.empty())
         Key += "+";

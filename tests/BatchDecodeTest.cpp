@@ -13,11 +13,12 @@
 ///    differential (the two kernels must produce identical records for
 ///    every stream, including non-multiple-of-4 tails);
 ///
-///  - Detector::handleBatch against a handleSample reference over the same
-///    stream: detector counters and full per-grain snapshots must match
-///    exactly, at line and page granularity, including batches larger than
-///    the 256-sample chunk capacity, and the parallel-phase gate must keep
-///    stage-1 counting and home publication while recording nothing;
+///  - Detector::handleBatch over a whole stream against the same stream
+///    delivered as batches of one: detector counters and full per-grain
+///    snapshots must match exactly, at line and page granularity,
+///    including batches larger than the 256-sample chunk capacity, and the
+///    parallel-phase gate must keep stage-1 counting and home publication
+///    while recording nothing;
 ///
 ///  - Profiler::ingestBatch bookkeeping: a batch carrying more distinct
 ///    tids than the fixed scratch table (MaxBatchTids) must flush and
@@ -113,7 +114,7 @@ TEST(BatchDecodeTest, LineStraddlingAccessesClampToTheLineEnd) {
 
   // An 8-byte access starting at offset 60 straddles into the next line:
   // it must mark only the last word of its first line (span 1), exactly
-  // like the per-sample decode.
+  // like the reference decode.
   std::vector<pmu::Sample> Samples = samplesAt(
       {RegionBase + 60, RegionBase + 62, RegionBase + 63, RegionBase + 56});
   DecodedBatch Out;
@@ -245,7 +246,7 @@ TEST(BatchDecodeTest, SimdAndScalarKernelsProduceIdenticalRecords) {
 }
 
 //===----------------------------------------------------------------------===//
-// handleBatch vs handleSample: full-state equivalence
+// A batch of N vs N batches of one: full-state equivalence
 //===----------------------------------------------------------------------===//
 
 /// A deterministic mixed stream: mostly covered addresses with straddling
@@ -293,15 +294,15 @@ void expectSnapshotsEqual(const GrainSnapshot &Got, const GrainSnapshot &Want,
   }
 }
 
-TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
+TEST(BatchDecodeTest, BatchOfNMatchesNBatchesOfOneAtLineGranularity) {
   constexpr uint64_t NumLines = 128;
   constexpr uint64_t LineSize = 64;
   CacheGeometry Geometry(LineSize);
   DetectorConfig Config;
 
   // One stream, larger than the 256-sample chunk capacity so handleBatch
-  // must chunk internally; delivered whole to the batch detector and one
-  // sample at a time to the reference.
+  // must chunk internally; delivered whole to the batch detector and as
+  // batches of one to the reference.
   std::vector<pmu::Sample> Stream = mixedStream(NumLines, LineSize,
                                                 /*Count=*/3000, /*Seed=*/7);
 
@@ -309,7 +310,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
   Detector Want(Geometry, WantShadow, Config);
   size_t WantRecorded = 0;
   for (const pmu::Sample &Sample : Stream)
-    WantRecorded += Want.handleSample(Sample, /*InParallelPhase=*/true);
+    WantRecorded += Want.handleBatch(&Sample, 1, /*InParallelPhase=*/true);
 
   ShadowMemory GotShadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Got(Geometry, GotShadow, Config);
@@ -341,7 +342,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtLineGranularity) {
   EXPECT_EQ(GotLines, WantLines.size());
 }
 
-TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtPageGranularity) {
+TEST(BatchDecodeTest, BatchOfNMatchesNBatchesOfOneAtPageGranularity) {
   constexpr uint64_t PageSize = 4096;
   constexpr uint64_t NumPages = 8;
   constexpr uint64_t LineSize = 64;
@@ -359,7 +360,7 @@ TEST(BatchDecodeTest, HandleBatchMatchesHandleSampleAtPageGranularity) {
   Detector Want(Geometry, WantShadow, Config);
   Want.attachPageTable(WantPages, Topology);
   for (const pmu::Sample &Sample : Stream)
-    Want.handleSample(Sample, /*InParallelPhase=*/true);
+    Want.handleBatch(&Sample, 1, /*InParallelPhase=*/true);
 
   ShadowMemory GotShadow(Geometry, {{RegionBase, NumPages * PageSize}});
   PageTable GotPages(Topology, Geometry, {{RegionBase, NumPages * PageSize}});

@@ -11,9 +11,9 @@
 /// evicted residue plus live counters equals a never-evicted run's totals,
 /// golden byte-identity of snapshots whose budget is never hit, and the
 /// multi-epoch soak that holds footprintBytes() under budget while
-/// ingesting far more distinct grains than the budget can hold. Runs in
-/// all three table modes (lock-free / CHEETAH_LOCKED_TABLE /
-/// CHEETAH_SHARDED_TABLE) via the CI matrix.
+/// ingesting far more distinct grains than the budget can hold. The
+/// per-thread shard merge plus the eviction fence is the one ingestion
+/// path, so the suite also runs under ThreadSanitizer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,7 +86,7 @@ TEST(EvictionFootprintTest, LineSlabArraysCountedExactly) {
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes);
 
   // The budget denominator is the metadata plus shard-registry overhead
-  // (zero records yet) — never less than the slab arrays the budget can
+  // (no shards yet) — never less than the slab arrays the budget can
   // never trim away.
   EXPECT_EQ(Shadow.footprintBytes(), SlabBytes + Shadow.shardBytes());
 
@@ -124,7 +124,7 @@ TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
   for (size_t I = 0; I < Tracked; ++I)
     for (ThreadId Tid = 0; Tid < 2; ++Tid)
       Detect.handleSample(makeSample(RegionBase + I * 64, Tid, true), true);
-  Detect.quiesce(); // sharded build: fold shards into the grains
+  Detect.quiesce(); // fold the shards into the grains
 
   EXPECT_EQ(Shadow.materializedGrains(), Tracked);
   size_t SlabBytes = (Size / 64) * (sizeof(std::atomic<uint32_t>) +
@@ -132,7 +132,6 @@ TEST(EvictionFootprintTest, MaterializedInfoBytesMatchArithmetic) {
   EXPECT_EQ(Shadow.metadataBytes(), SlabBytes + liveTotals(Shadow).InfoBytes);
 }
 
-#if CHEETAH_SHARDED_TABLE
 TEST(EvictionFootprintTest, ShardRecordsCountedAndDroppedAtQuiesce) {
   CacheGeometry Geometry{64};
   ShadowMemory Shadow{Geometry, {{RegionBase, 1 << 16}}};
@@ -150,11 +149,11 @@ TEST(EvictionFootprintTest, ShardRecordsCountedAndDroppedAtQuiesce) {
   EXPECT_EQ(Shadow.footprintBytes(),
             Shadow.metadataBytes() + Shadow.shardBytes());
 
-  // Quiesce folds and clears the records; only container overhead stays.
+  // Quiesce folds the records and releases every shard.
   Detect.quiesce();
-  EXPECT_LT(Shadow.shardBytes(), Loaded);
+  EXPECT_EQ(Shadow.shardBytes(), 0u);
+  EXPECT_EQ(Shadow.footprintBytes(), Shadow.metadataBytes());
 }
-#endif
 
 //===----------------------------------------------------------------------===//
 // Conservation: residue + live state == a never-evicted run's totals.

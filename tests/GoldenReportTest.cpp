@@ -7,17 +7,18 @@
 /// \file
 /// Byte-exact differential gate for the JSON report pipeline: every
 /// registered workload's `cheetah-report-v4` document must match its
-/// checked-in golden under tests/goldens/, in every table-mode build
-/// (shared, CHEETAH_LOCKED_TABLE, CHEETAH_SHARDED_TABLE). This is the
-/// executable form of the refactor contract — the granularity-generic
-/// detection core and any ingestion-mode change must be observationally
-/// invisible at the report boundary, down to the last byte.
+/// checked-in golden under tests/goldens/, with either batch-decode kernel
+/// (AVX2 or -DCHEETAH_FORCE_SCALAR=ON). This is the executable form of the
+/// refactor contract — the granularity-generic detection core and any
+/// ingestion-engine change must be observationally invisible at the report
+/// boundary, down to the last byte.
 ///
-/// Goldens regenerate with the exact flags encoded here, e.g.:
-///   cheetah-profile --workload=kmeans --format=json \
+/// Goldens regenerate with the exact flags encoded here (one command per
+/// entry, wrapped), e.g.:
+///   cheetah-profile --workload=kmeans --format=json
 ///       --output=tests/goldens/kmeans.line.json
-///   cheetah-profile --workload=numa_first_touch --granularity=both \
-///       --sampling-period=256 --threads=8 --format=json \
+///   cheetah-profile --workload=numa_first_touch --granularity=both
+///       --sampling-period=256 --threads=8 --format=json
 ///       --output=tests/goldens/numa_first_touch.both.json
 ///
 //===----------------------------------------------------------------------===//

@@ -257,8 +257,9 @@ TEST_P(FuzzPipelineTest, InvariantsHoldOnRandomPrograms) {
         for (const core::ThreadLineStats &Stats : Info.threads())
           ThreadAccesses += Stats.Accesses;
         EXPECT_EQ(ThreadAccesses, Info.accesses());
-        if (Info.invalidations() > 1)
+        if (Info.invalidations() > 1) {
           EXPECT_GE(Info.threadCount(), 1u);
+        }
       });
 
   // --- Every report's numbers are self-consistent and its assessment sane.
@@ -351,10 +352,12 @@ TEST_P(CoherenceOracleTest, MatchesHolderSetOracle) {
     Now += Result.LatencyCycles + 1;
 
     EXPECT_EQ(Result.Invalidated, ExpectedVictims) << "step " << I;
-    if (ExpectedCold)
+    if (ExpectedCold) {
       EXPECT_EQ(Result.Outcome, sim::AccessOutcome::ColdMiss) << "step " << I;
-    if (ExpectedHit && !ExpectedCold && !IsWrite)
+    }
+    if (ExpectedHit && !ExpectedCold && !IsWrite) {
       EXPECT_EQ(Result.Outcome, sim::AccessOutcome::LocalHit) << "step " << I;
+    }
 
     // Advance the oracle.
     Ref.Touched = true;
@@ -518,8 +521,9 @@ TEST_P(PagePropertyTest, PackedPageTableMatchesSequentialReference) {
     EXPECT_EQ(Lines[L].Writes, WantWrites) << "line " << L;
     EXPECT_EQ(Lines[L].MultiThread, Reference.MultiNodeLines.count(L) > 0)
         << "line " << L;
-    if (WantReads + WantWrites)
+    if (WantReads + WantWrites) {
       EXPECT_EQ(Lines[L].FirstThread, Reference.LineFirstNode.at(L));
+    }
   }
   for (const core::NodePageStats &Node : Info.nodes())
     EXPECT_EQ(Node.Accesses, Reference.NodeAccessCounts.at(Node.Node));
@@ -644,7 +648,12 @@ void writeRandomValue(JsonWriter &Writer, SplitMix64 &Rng, unsigned Depth) {
     Writer.beginObject();
     size_t N = Rng.nextBelow(5);
     for (size_t I = 0; I < N; ++I) {
-      Writer.key("k" + std::to_string(I));
+      // push_back, not `"k" + ...` or `= "k"`: GCC 12 inlines those into
+      // a char_traits memcpy it falsely flags under -Wrestrict.
+      std::string Key;
+      Key.push_back('k');
+      Key += std::to_string(I);
+      Writer.key(Key);
       writeRandomValue(Writer, Rng, Depth - 1);
     }
     Writer.endObject();
@@ -852,10 +861,12 @@ TEST_P(PageAssessPropertyTest, ClampedEquationInvariantsHold) {
 
     // Improvement strictly above 1 requires removable excess somewhere;
     // zero excess pins the prediction at exactly the measured runtime.
-    if (Result.ImprovementFactor > 1.0 + 1e-9)
+    if (Result.ImprovementFactor > 1.0 + 1e-9) {
       EXPECT_GT(TotalExcess, 0.0);
-    if (TotalExcess == 0.0)
+    }
+    if (TotalExcess == 0.0) {
       EXPECT_NEAR(Result.ImprovementFactor, 1.0, 1e-12);
+    }
   }
 }
 
@@ -988,8 +999,9 @@ TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
     // Truncations at every bounded prefix: error, never crash.
     for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
       core::ParsedReport Partial;
-      if (!core::parseReport(Text.substr(0, Cut), Partial, Error))
+      if (!core::parseReport(Text.substr(0, Cut), Partial, Error)) {
         EXPECT_FALSE(Error.empty());
+      }
     }
     // Random byte mutations (flip/insert/erase).
     for (int Mutation = 0; Mutation < 60; ++Mutation) {
@@ -1010,8 +1022,9 @@ TEST_P(ReportDiffFuzzTest, HostileReportInputNeverCrashes) {
         break;
       }
       core::ParsedReport Fuzzed;
-      if (!core::parseReport(Mutated, Fuzzed, Error))
+      if (!core::parseReport(Mutated, Fuzzed, Error)) {
         EXPECT_FALSE(Error.empty());
+      }
     }
 
     // Version mismatches fail loudly by name.
@@ -1067,8 +1080,9 @@ TEST_P(HistoryStoreFuzzTest, HostileStoreInputNeverCrashes) {
     // Truncations at every bounded prefix: error, never crash.
     for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
       core::ReportHistory Partial;
-      if (!core::ReportHistory::parse(Text.substr(0, Cut), Partial, Error))
+      if (!core::ReportHistory::parse(Text.substr(0, Cut), Partial, Error)) {
         EXPECT_FALSE(Error.empty());
+      }
     }
     // Random byte mutations (flip/insert/erase): error or parse, never a
     // crash. (No byte-stability claim here — a mutation can insert
@@ -1091,8 +1105,9 @@ TEST_P(HistoryStoreFuzzTest, HostileStoreInputNeverCrashes) {
         break;
       }
       core::ReportHistory Fuzzed;
-      if (!core::ReportHistory::parse(Mutated, Fuzzed, Error))
+      if (!core::ReportHistory::parse(Mutated, Fuzzed, Error)) {
         EXPECT_FALSE(Error.empty());
+      }
     }
 
     // Version mismatches fail loudly by name.
@@ -1181,8 +1196,9 @@ TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
     // Truncations at every bounded prefix: error, never crash.
     for (size_t Cut = 0; Cut < Text.size(); Cut += 7) {
       pmu::TraceData Partial;
-      if (!pmu::TraceData::parse(Text.substr(0, Cut), Partial, Error))
+      if (!pmu::TraceData::parse(Text.substr(0, Cut), Partial, Error)) {
         EXPECT_FALSE(Error.empty());
+      }
     }
     // Random byte mutations (flip/insert/erase): error or parse, never a
     // crash.
@@ -1204,8 +1220,9 @@ TEST_P(TraceFuzzTest, HostileTraceInputNeverCrashes) {
         break;
       }
       pmu::TraceData Fuzzed;
-      if (!pmu::TraceData::parse(Mutated, Fuzzed, Error))
+      if (!pmu::TraceData::parse(Mutated, Fuzzed, Error)) {
         EXPECT_FALSE(Error.empty());
+      }
     }
 
     // Version mismatches fail loudly by name.

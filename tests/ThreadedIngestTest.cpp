@@ -79,7 +79,7 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
 
   // Parallel run: lines are partitioned over 8 ingest threads, so each
   // line's stream keeps its order while the threads race on the shared
-  // shadow arrays, stripe locks, and detector counters.
+  // shadow arrays, two-entry tables, and detector counters.
   ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
   Detector Detect(Geometry, Shadow, Config);
   std::vector<std::thread> Threads;
@@ -91,10 +91,8 @@ TEST(ThreadedIngestTest, DisjointLinePartitionsMatchSerialReference) {
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  // Epoch boundary: folds per-thread shards back in the sharded build
-  // (and proves merge conservation there); no-op otherwise. With it, the
-  // per-line comparison below doubles as the sharded-vs-serial
-  // equivalence check.
+  // Epoch boundary: folds the per-thread shards back (and proves merge
+  // conservation).
   Detect.quiesce();
 
   DetectorStats Serial = SerialDetect.stats();
@@ -126,9 +124,10 @@ TEST(ThreadedIngestTest, BatchedDisjointLinePartitionsMatchSerialReference) {
   // The handleBatch mirror of the test above: the same per-line streams,
   // but each ingest thread delivers its lines in whole batches through the
   // staged pipeline (SIMD decode, branchless stage-1 sweep, prefetched
-  // lookups). Eight threads race on the shared write counters, stripe
-  // locks, and per-thread decode scratch; the result must still equal a
-  // serial per-sample reference, line for line.
+  // lookups). Eight threads race on the shared write counters and
+  // two-entry tables, each with its own decode scratch and shard; the
+  // result must still equal a serial one-sample-at-a-time reference, line
+  // for line.
   constexpr uint64_t NumLines = 512;
   constexpr unsigned SamplesPerLine = 48;
   CacheGeometry Geometry(LineSize);
@@ -242,9 +241,10 @@ TEST(ThreadedIngestTest, ContendedLinesLoseNoSamples) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lock-free CacheLineInfo: 8 threads hammering ONE shared line. The
-// worst case for the packed CAS table and the per-line atomics — every
-// update contends. Run under TSan to prove the mutex-free hot path clean.
+// Lock-free CacheLineInfo: 8 threads hammering ONE shared line with
+// one-sample merges. The worst case for the packed CAS table and the
+// per-line atomics — every update contends. Run under TSan to prove the
+// mutex-free merge path clean.
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadedIngestTest, SingleSharedLineHammerLosesNoUpdates) {
@@ -446,14 +446,14 @@ TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {
 
   // The packed node table kept its invariants under the hammering.
   EXPECT_LE(Info->table().size(), 2u);
-  if (Info->table().size() == 2)
+  if (Info->table().size() == 2) {
     EXPECT_NE(Info->table().entry(0).Tid, Info->table().entry(1).Tid);
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// Epoch-sharded ingestion: the recordSharded()/quiesce() path is compiled
-// in every build, so these tests A/B it against the shared lock-free path
-// everywhere — not only when CHEETAH_SHARDED_TABLE routes record() to it.
+// Per-thread shard ingestion: record() accumulates into the ingesting OS
+// thread's shard, quiesce() merges and releases every shard.
 //===----------------------------------------------------------------------===//
 
 TEST(ShardedIngestTest, MergeConservesEveryCounterAcrossEpochs) {
@@ -476,7 +476,7 @@ TEST(ShardedIngestTest, MergeConservesEveryCounterAcrossEpochs) {
             Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read;
         LocalWrites += Kind == AccessKind::Write ? 1 : 0;
         CacheLineInfo &Info = Shadow.materializeDetail(RegionBase);
-        LocalInvalidations += Shadow.recordSharded(
+        LocalInvalidations += Shadow.record(
             RegionBase, Info, static_cast<ThreadId>(T),
             /*Actor=*/static_cast<ThreadId>(T), Kind,
             Rng.nextBelow(WordsPerLine), /*Span=*/1, /*LatencyCycles=*/10);
@@ -518,73 +518,74 @@ TEST(ShardedIngestTest, MergeConservesEveryCounterAcrossEpochs) {
   for (const ThreadLineStats &Stats : PerThread)
     EXPECT_EQ(Stats.Accesses, SamplesPerThread) << "tid " << Stats.Tid;
 
-  // Shards were emptied: an immediate re-quiesce merges nothing.
+  // Shards were released: an immediate re-quiesce merges nothing.
+  EXPECT_EQ(Shadow.shardCount(), 0u);
+  EXPECT_EQ(Shadow.shardBytes(), 0u);
   GrainMergeStats Empty = Shadow.quiesce();
+  EXPECT_EQ(Empty.Shards, 0u);
   EXPECT_EQ(Empty.Records, 0u);
   EXPECT_EQ(Empty.Accesses, 0u);
 
   // Epoch two, from a ninth ingesting thread (main): the merge reports
-  // only the delta, and the shared totals advance by exactly that much.
+  // only the delta from the one shard this epoch registered, and the
+  // shared totals advance by exactly that much.
   constexpr uint64_t ExtraSamples = 100;
   CacheLineInfo &Detail = Shadow.materializeDetail(RegionBase);
   for (uint64_t I = 0; I < ExtraSamples; ++I)
-    Shadow.recordSharded(RegionBase, Detail, /*Tid=*/0, /*Actor=*/0,
-                         AccessKind::Write, /*Bucket=*/I % WordsPerLine,
-                         /*Span=*/1, /*LatencyCycles=*/10);
+    Shadow.record(RegionBase, Detail, /*Tid=*/0, /*Actor=*/0,
+                  AccessKind::Write, /*Bucket=*/I % WordsPerLine,
+                  /*Span=*/1, /*LatencyCycles=*/10);
   GrainMergeStats Second = Shadow.quiesce();
-  EXPECT_EQ(Second.Shards, uint64_t(IngestThreads) + 1);
+  EXPECT_EQ(Second.Shards, 1u);
   EXPECT_EQ(Second.Records, 1u);
   EXPECT_EQ(Second.Accesses, ExtraSamples);
   EXPECT_EQ(Info->accesses(), Total + ExtraSamples);
 }
 
-TEST(ShardedIngestTest, MergedOutputMatchesSharedTableSampleForSample) {
+TEST(ShardedIngestTest, ThreadedMergeMatchesSerialIngestSampleForSample) {
   // Disjoint line partitions make every per-line history deterministic, so
-  // the sharded-mode merge output must equal the shared lock-free path
-  // field for field — counters, invalidations, word histograms (including
-  // first-thread/multi-thread bits), and per-thread totals.
+  // 8 ingest threads' merged shards must equal one thread's serial run
+  // through the same engine field for field — counters, invalidations,
+  // word histograms (including first-thread/multi-thread bits), and
+  // per-thread totals.
   constexpr uint64_t NumLines = 64;
   constexpr unsigned SamplesPerLine = 64;
   CacheGeometry Geometry(LineSize);
-  ShadowMemory Shared(Geometry, {{RegionBase, NumLines * LineSize}});
-  ShadowMemory Sharded(Geometry, {{RegionBase, NumLines * LineSize}});
+  DetectorConfig Config;
 
-  // Reference: the same per-line streams through the shared path, serially.
+  ShadowMemory SerialShadow(Geometry, {{RegionBase, NumLines * LineSize}});
+  Detector SerialDetect(Geometry, SerialShadow, Config);
   for (uint64_t Line = 0; Line < NumLines; ++Line) {
-    uint64_t Base = RegionBase + Line * LineSize;
-    CacheLineInfo &Info = Shared.materializeDetail(Base);
-    for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-      Info.recordAccess(Sample.Tid,
-                        Sample.IsWrite ? AccessKind::Write : AccessKind::Read,
-                        (Sample.Address - Base) / 4, /*WordSpan=*/1,
-                        Sample.LatencyCycles);
+    std::vector<pmu::Sample> Stream = lineStream(Line, SamplesPerLine);
+    SerialDetect.handleBatch(Stream.data(), Stream.size(),
+                             /*InParallelPhase=*/true);
   }
+  SerialDetect.quiesce();
 
-  // Candidate: identical streams through 8 ingest threads' shards.
+  ShadowMemory Shadow(Geometry, {{RegionBase, NumLines * LineSize}});
+  Detector Detect(Geometry, Shadow, Config);
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T < IngestThreads; ++T)
     Threads.emplace_back([&, T] {
       for (uint64_t Line = T; Line < NumLines; Line += IngestThreads) {
-        uint64_t Base = RegionBase + Line * LineSize;
-        CacheLineInfo &Info = Sharded.materializeDetail(Base);
-        for (const pmu::Sample &Sample : lineStream(Line, SamplesPerLine))
-          Sharded.recordSharded(Base, Info, Sample.Tid, Sample.Tid,
-                                Sample.IsWrite ? AccessKind::Write
-                                               : AccessKind::Read,
-                                (Sample.Address - Base) / 4, /*Span=*/1,
-                                Sample.LatencyCycles);
+        std::vector<pmu::Sample> Stream = lineStream(Line, SamplesPerLine);
+        Detect.handleBatch(Stream.data(), Stream.size(),
+                           /*InParallelPhase=*/true);
       }
     });
   for (std::thread &Thread : Threads)
     Thread.join();
-  Sharded.quiesce();
+  Detect.quiesce();
+  EXPECT_EQ(Detect.lineMergeStats().Shards, uint64_t(IngestThreads));
 
+  ASSERT_EQ(Shadow.materializedLines(), SerialShadow.materializedLines());
   for (uint64_t Line = 0; Line < NumLines; ++Line) {
     uint64_t Base = RegionBase + Line * LineSize;
-    const CacheLineInfo *Want = Shared.detail(Base);
-    const CacheLineInfo *Got = Sharded.detail(Base);
-    ASSERT_NE(Want, nullptr);
-    ASSERT_NE(Got, nullptr);
+    const CacheLineInfo *Want = SerialShadow.detail(Base);
+    const CacheLineInfo *Got = Shadow.detail(Base);
+    ASSERT_EQ(Got != nullptr, Want != nullptr) << "line " << Line;
+    if (!Want)
+      continue;
     GrainSnapshot WantSnap = Want->snapshot(Base);
     GrainSnapshot GotSnap = Got->snapshot(Base);
     EXPECT_EQ(GotSnap.Accesses, WantSnap.Accesses) << "line " << Line;
@@ -605,13 +606,7 @@ TEST(ShardedIngestTest, MergedOutputMatchesSharedTableSampleForSample) {
       EXPECT_EQ(GotSnap.Buckets[W].MultiThread, WantSnap.Buckets[W].MultiThread)
           << "line " << Line << " word " << W;
     }
-    // Thread slots may surface in chain order vs merge order; compare as
-    // tid-sorted sets.
-    auto ByTid = [](const ThreadLineStats &A, const ThreadLineStats &B) {
-      return A.Tid < B.Tid;
-    };
-    std::sort(WantSnap.Threads.begin(), WantSnap.Threads.end(), ByTid);
-    std::sort(GotSnap.Threads.begin(), GotSnap.Threads.end(), ByTid);
+    // Both snapshots come out tid-sorted.
     ASSERT_EQ(GotSnap.Threads.size(), WantSnap.Threads.size());
     for (size_t S = 0; S < WantSnap.Threads.size(); ++S) {
       EXPECT_EQ(GotSnap.Threads[S].Tid, WantSnap.Threads[S].Tid);
@@ -619,6 +614,63 @@ TEST(ShardedIngestTest, MergedOutputMatchesSharedTableSampleForSample) {
       EXPECT_EQ(GotSnap.Threads[S].Cycles, WantSnap.Threads[S].Cycles);
     }
   }
+}
+
+TEST(ShardedIngestTest, ThreadChurnReleasesShardsEveryEpoch) {
+  // The daemon's shape: every epoch ingests from freshly spawned OS
+  // threads, then quiesces. Each exited thread's shard must be released
+  // with the merge, so after every epoch no shard bytes remain and the
+  // footprint — the eviction budget's denominator — stays flat instead of
+  // growing by one registry entry per dead thread.
+  constexpr int Epochs = 24;
+  constexpr unsigned EpochThreads = 3;
+  constexpr uint64_t NumLines = 64;
+  constexpr uint64_t PageSize = 4096;
+  constexpr uint64_t Size = NumLines * LineSize;
+  NumaTopology Topology(2, PageSize);
+  CacheGeometry Geometry(LineSize);
+  ShadowMemory Shadow(Geometry, {{RegionBase, PageSize}});
+  PageTable Pages(Topology, Geometry, {{RegionBase, PageSize}});
+  DetectorConfig Config;
+  // Threshold 0: every grain materializes on its first epoch's first
+  // write, so the materialized set — and with it the footprint — is
+  // settled after epoch 0.
+  Config.WriteThreshold = 0;
+  Config.TrackPages = true;
+  Config.PageWriteThreshold = 0;
+  Detector Detect(Geometry, Shadow, Config);
+  Detect.attachPageTable(Pages, Topology);
+  static_assert(Size == PageSize, "the streams must cover the one page");
+
+  size_t LineFootprint = 0, PageFootprint = 0;
+  for (int Epoch = 0; Epoch < Epochs; ++Epoch) {
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T < EpochThreads; ++T)
+      Threads.emplace_back([&, T] {
+        for (uint64_t Line = T; Line < NumLines; Line += EpochThreads) {
+          std::vector<pmu::Sample> Stream = lineStream(Line, 16);
+          Detect.handleBatch(Stream.data(), Stream.size(),
+                             /*InParallelPhase=*/true);
+        }
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+    Detect.quiesce();
+
+    EXPECT_EQ(Shadow.shardBytes(), 0u) << "epoch " << Epoch;
+    EXPECT_EQ(Pages.shardBytes(), 0u) << "epoch " << Epoch;
+    EXPECT_EQ(Shadow.shardCount(), 0u) << "epoch " << Epoch;
+    if (Epoch == 0) {
+      LineFootprint = Shadow.footprintBytes();
+      PageFootprint = Pages.footprintBytes();
+    }
+    EXPECT_EQ(Shadow.footprintBytes(), LineFootprint) << "epoch " << Epoch;
+    EXPECT_EQ(Pages.footprintBytes(), PageFootprint) << "epoch " << Epoch;
+  }
+  EXPECT_GT(Shadow.materializedLines(), 0u);
+  EXPECT_EQ(Pages.materializedPages(), 1u);
+  // Every epoch's threads registered and were merged.
+  EXPECT_EQ(Detect.lineMergeStats().Shards, uint64_t(Epochs) * EpochThreads);
 }
 
 TEST(ShardedIngestTest, PageMergeConservesRemoteEvidence) {
@@ -643,12 +695,11 @@ TEST(ShardedIngestTest, PageMergeConservesRemoteEvidence) {
       bool Remote = Node != 0;
       for (unsigned I = 0; I < SamplesPerThread; ++I) {
         PageInfo &Info = Pages.materializeDetail(RegionBase);
-        Pages.recordSharded(RegionBase, Info, static_cast<ThreadId>(T), Node,
-                            Rng.nextBool(0.5) ? AccessKind::Write
-                                              : AccessKind::Read,
-                            /*Bucket=*/Rng.nextBelow(PageSize / LineSize),
-                            /*Span=*/1, /*LatencyCycles=*/25,
-                            {Remote, Remote ? 1u : 0u});
+        Pages.record(RegionBase, Info, static_cast<ThreadId>(T), Node,
+                     Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read,
+                     /*Bucket=*/Rng.nextBelow(PageSize / LineSize),
+                     /*Span=*/1, /*LatencyCycles=*/25,
+                     {Remote, Remote ? 1u : 0u});
       }
       if (Remote)
         RemoteIssued.fetch_add(SamplesPerThread);

@@ -175,8 +175,9 @@ TEST_P(EveryWorkloadTest, ThreadCountMatchesConfig) {
   sim::ForkJoinProgram Program =
       driver::buildProgram(*Workload, Profiler, Config);
   for (const sim::PhaseSpec &Phase : Program.Phases)
-    if (!Phase.ParallelBodies.empty())
+    if (!Phase.ParallelBodies.empty()) {
       EXPECT_EQ(Phase.ParallelBodies.size(), 3u);
+    }
 }
 
 TEST_P(EveryWorkloadTest, FixedVariantRunsFasterOrEqual) {
@@ -308,9 +309,10 @@ TEST(WorkloadDetectionTest, FluidanimateBordersAreTrueSharingNotFalse) {
   driver::FullTrackResult Result =
       driver::runFullTracking(*Workload, Config, Tracker);
   for (const auto &Finding : Result.Findings)
-    if (Finding.Threads >= 2 && Finding.Invalidations > 50)
+    if (Finding.Threads >= 2 && Finding.Invalidations > 50) {
       EXPECT_NE(Finding.Kind, core::SharingKind::FalseSharing)
           << "border line 0x" << std::hex << Finding.LineBase;
+    }
 }
 
 TEST(WorkloadStructureTest, KmeansCreates224ThreadsAt16) {

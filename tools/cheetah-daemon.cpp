@@ -26,9 +26,9 @@
 /// steady-state traffic generator.
 ///
 /// Examples:
-///   cheetah-daemon --workload=numa_first_touch --granularity=both \
+///   cheetah-daemon --workload=numa_first_touch --granularity=both
 ///       --epochs=10 --line-budget=262144 --store=history.json
-///   cheetah-daemon --workload=numa_first_touch \
+///   cheetah-daemon --workload=numa_first_touch
 ///       --backend=trace:first_touch.trace --epochs=10 --store=history.json
 ///   cheetah-trend show --store=history.json --gate=1.5
 ///

@@ -13,9 +13,9 @@
 /// above the factor appeared or got worse in the new report.
 ///
 /// Examples:
-///   cheetah-profile --workload=numa_first_touch --granularity=page \
+///   cheetah-profile --workload=numa_first_touch --granularity=page
 ///       --format=json --output=broken.json
-///   cheetah-profile --workload=numa_first_touch --granularity=page \
+///   cheetah-profile --workload=numa_first_touch --granularity=page
 ///       --fix --format=json --output=fixed.json
 ///   cheetah-diff broken.json fixed.json
 ///   cheetah-diff --gate=1.1 broken.json fixed.json   # exit 0: no regression

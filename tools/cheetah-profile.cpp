@@ -18,9 +18,9 @@
 ///   cheetah-profile --workload=streamcluster --fix --verify
 ///   cheetah-profile --workload=histogram --format=json --output=run.json
 ///   cheetah-profile --workload=numa_interleaved --granularity=page
-///   cheetah-profile --workload=numa_first_touch --granularity=both \
+///   cheetah-profile --workload=numa_first_touch --granularity=both
 ///       --numa-nodes=4 --format=json
-///   cheetah-profile --workload=numa_asymmetric --granularity=page \
+///   cheetah-profile --workload=numa_asymmetric --granularity=page
 ///       --numa-topology=topologies/asymmetric4.json --format=json
 ///   cheetah-profile --workload=numa_first_touch --granularity=page --verify
 ///   cheetah-profile --list

@@ -26,12 +26,12 @@
 ///       run that introduced the regression of KEY.
 ///
 /// Examples:
-///   cheetah-profile --workload=numa_first_touch --granularity=page \
+///   cheetah-profile --workload=numa_first_touch --granularity=page
 ///       --format=json --output=run1.json
 ///   cheetah-trend append --store=history.json --run-id=nightly-001 run1.json
 ///   cheetah-trend show --store=history.json
 ///   cheetah-trend show --store=history.json --gate=1.2
-///   cheetah-trend show --store=history.json --gate=1.2 \
+///   cheetah-trend show --store=history.json --gate=1.2
 ///       --bisect='page:numa_slots#0'
 ///
 /// Exit codes follow the cheetah-diff contract: 0 = clean (or gate
