@@ -190,8 +190,8 @@ ReportRunStats Profiler::runStats(uint64_t AppRuntime) const {
 
 ProfileResult Profiler::finish(const sim::SimulationResult &Run,
                                ReportSink *Sink) {
-  // Epoch quiesce before any grain is read: folds every per-thread shard
-  // back into the shared tables (and proves conservation). The simulator
+  // Epoch quiesce before any grain is read: adds every per-thread shard
+  // into its table's grains (and proves conservation). The simulator
   // has joined every thread by now, so no ingestion races the merge.
   Detect.quiesce();
   return buildReport(Run.TotalCycles, Sink);

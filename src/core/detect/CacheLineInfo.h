@@ -29,28 +29,24 @@ public:
   explicit CacheLineInfo(uint64_t WordsPerLine)
       : GrainInfo(WordsPerLine) {}
 
-  /// Records one sampled access landing on this line straight into the
-  /// shared counters (GrainInfo::recordMerged). Lock-free: concurrent calls
-  /// never lose an update. \returns true if it incurred a cache
-  /// invalidation.
+  /// Records one sampled access landing on this line straight into its
+  /// totals (GrainInfo::recordMerged). Single-threaded callers only (unit
+  /// tests); detection records through ShadowMemory. \returns true if it
+  /// incurred a cache invalidation.
   bool recordAccess(ThreadId Tid, AccessKind Kind, uint64_t WordIndex,
                     uint64_t WordSpan, uint64_t LatencyCycles) {
     return recordMerged(Tid, Tid, Kind, WordIndex, WordSpan, LatencyCycles);
   }
 
-  /// Value snapshot of the per-word statistics, one entry per word of the
-  /// line (consistent once ingestion quiesces).
-  std::vector<WordStats> words() const { return buckets(); }
+  /// The per-word statistics, one entry per word of the line.
+  const std::vector<WordStats> &words() const { return buckets(); }
 };
 
-// The empty line extras must overlay completely ([[no_unique_address]]) so
-// the line record is exactly as wide as the pre-generalization layout —
-// the shadow-bytes accounting embedded in the report goldens depends on
-// this staying put.
-static_assert(sizeof(CacheLineInfo) ==
-                  sizeof(CacheLineTable) + 4 * sizeof(std::atomic<uint64_t>) +
-                      sizeof(std::unique_ptr<AtomicBucketStats[]>) +
-                      sizeof(uint64_t) + sizeof(ThreadStatsChain),
+// The empty line extras must overlay completely ([[no_unique_address]]):
+// a line record is its four counters and two vectors, nothing more.
+static_assert(sizeof(GrainRecord<LineGrainTraits>) ==
+                  4 * sizeof(uint64_t) + sizeof(std::vector<WordStats>) +
+                      sizeof(std::vector<ThreadLineStats>),
               "empty line extras must not widen the grain record");
 
 } // namespace core

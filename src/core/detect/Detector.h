@@ -17,8 +17,8 @@
 ///
 /// There is one ingestion engine: handleBatch, safe to call from many
 /// ingesting threads concurrently and lock-free on the hot path.
-/// handleSample is a batch of one. quiesce() folds every per-thread shard
-/// back into the shared tables, proves that the merge conserved every
+/// handleSample is a batch of one. quiesce() adds every per-thread shard
+/// into its table's grains, proves that the merge conserved every
 /// sample against the detector's own counters, and releases the shards.
 ///
 //===----------------------------------------------------------------------===//

@@ -17,21 +17,20 @@
 ///  - the **bucket** histogram subdividing the grain (4-byte words of a
 ///    line, cache lines of a page) that lets SharingClassifier split true
 ///    from false sharing,
-///  - per-grain **extras** beyond the shared counters (the page grain adds
+///  - per-grain **extras** beyond the generic counters (the page grain adds
 ///    remote-traffic totals, per-node accumulators, and remoteByDistance
 ///    buckets; the line grain adds nothing).
 ///
-/// A sample is recorded in two steps. `recordShard` accumulates it into a
-/// per-thread **shard record** (`GrainShardRecord<Traits>`): plain,
-/// single-writer fields a thread fills without any cross-thread CAS
-/// traffic. `mergeShard` folds a shard record back into the grain's shared
-/// relaxed atomics at epoch quiesce. Only the additive statistics shard;
-/// the two-entry table stays shared (a single-word CAS) because the
-/// invalidation decision depends on the global interleaving of actors,
-/// which is also what makes the merge *provable* — merged totals must
-/// conserve against the detector's own counters. Readers that run after
-/// ingestion quiesces (report generation, tests) take plain value
-/// snapshots.
+/// Every additive statistic lives in one plain accumulation record
+/// (`GrainRecord<Traits>`). A sample is recorded in two steps:
+/// `recordShard` accumulates it into the ingesting thread's shard record,
+/// and `mergeShard` adds that record into the grain's own record at epoch
+/// quiesce, single-threaded behind the ingestion fence. Only the two-entry
+/// table is shared between ingesting threads (a single-word CAS), because
+/// the invalidation decision depends on the global interleaving of actors.
+/// That split is also what makes the merge *provable* — merged totals must
+/// conserve against the detector's own counters. Readers run after
+/// ingestion quiesces (report generation, tests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,27 +44,22 @@
 #include "support/Assert.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace cheetah {
 namespace core {
 
-/// Sentinel for "no thread recorded yet" in WordStats.
-inline constexpr ThreadId NoThread = ~static_cast<ThreadId>(0);
-
 /// Sentinel for "no actor recorded yet" in a histogram bucket. ThreadId and
 /// NodeId are both uint32_t, so one sentinel serves every grain (it equals
-/// NoThread and NoNode bit-for-bit).
-inline constexpr uint32_t NoActor = ~static_cast<uint32_t>(0);
+/// NoNode bit-for-bit).
+inline constexpr ThreadId NoThread = ~static_cast<ThreadId>(0);
 
-/// Snapshot of one histogram bucket (paper Section 2.4: "the amount of
-/// reads or writes issued by a particular thread on each word"). At line
-/// granularity a bucket is a 4-byte word and the actor fields hold thread
-/// ids; at page granularity a bucket is a cache line and they hold node
-/// ids — SharingClassifier consumes both unchanged.
+/// One histogram bucket (paper Section 2.4: "the amount of reads or writes
+/// issued by a particular thread on each word"). At line granularity a
+/// bucket is a 4-byte word and the actor fields hold thread ids; at page
+/// granularity a bucket is a cache line and they hold node ids —
+/// SharingClassifier consumes both unchanged.
 struct WordStats {
   uint64_t Reads = 0;
   uint64_t Writes = 0;
@@ -77,6 +71,33 @@ struct WordStats {
   bool MultiThread = false;
 
   uint64_t accesses() const { return Reads + Writes; }
+
+  void record(uint32_t Actor, AccessKind Kind, uint64_t LatencyCycles) {
+    if (Kind == AccessKind::Read)
+      ++Reads;
+    else
+      ++Writes;
+    Cycles += LatencyCycles;
+    if (FirstThread == NoThread)
+      FirstThread = Actor;
+    else if (FirstThread != Actor)
+      MultiThread = true;
+  }
+
+  /// Adds another accumulation of the same bucket: the first one added
+  /// sets the first actor, and a disagreeing first actor marks the bucket
+  /// multi-actor.
+  void add(const WordStats &Other) {
+    if (Other.accesses() == 0)
+      return;
+    Reads += Other.Reads;
+    Writes += Other.Writes;
+    Cycles += Other.Cycles;
+    if (FirstThread == NoThread)
+      FirstThread = Other.FirstThread;
+    if (FirstThread != Other.FirstThread || Other.MultiThread)
+      MultiThread = true;
+  }
 };
 
 /// Per-thread access/cycle accumulator on one grain (and, aggregated, on
@@ -96,88 +117,33 @@ struct NodePageStats {
   uint64_t Cycles = 0;
 };
 
-/// Lock-free per-thread access/cycle accumulator chain shared by every
-/// grain — all of them need the per-thread Accesses_O / Cycles_O breakdown
-/// that feeds EQ.2. Slots are claimed by CASing a tid into a
-/// fixed-capacity block; the chain grows by CAS-publishing the next block,
-/// so the thread population is unbounded while the common case (a handful
-/// of threads) stays in the inline first block with no indirection.
-/// Merged shard records are its only writers.
-class ThreadStatsChain {
-public:
-  ThreadStatsChain() = default;
-  ~ThreadStatsChain();
+/// Adds \p Stats into \p Threads, kept sorted by tid (thread populations
+/// per grain or object are tiny).
+inline void addThreadStats(std::vector<ThreadLineStats> &Threads,
+                           const ThreadLineStats &Stats) {
+  auto It = std::lower_bound(
+      Threads.begin(), Threads.end(), Stats.Tid,
+      [](const ThreadLineStats &Slot, ThreadId T) { return Slot.Tid < T; });
+  if (It == Threads.end() || It->Tid != Stats.Tid)
+    It = Threads.insert(It, ThreadLineStats{Stats.Tid, 0, 0});
+  It->Accesses += Stats.Accesses;
+  It->Cycles += Stats.Cycles;
+}
 
-  ThreadStatsChain(const ThreadStatsChain &) = delete;
-  ThreadStatsChain &operator=(const ThreadStatsChain &) = delete;
-
-  /// Finds (or claims) \p Tid's slot and accumulates \p Accesses accesses
-  /// and \p Cycles cycles in one claim — how a merged shard folds its
-  /// per-thread totals back in. Lock-free.
-  void add(ThreadId Tid, uint64_t Accesses, uint64_t Cycles);
-
-  /// Value snapshot of every claimed slot, ordered by thread id.
-  std::vector<ThreadLineStats> snapshot() const;
-
-  /// Number of distinct threads recorded.
-  size_t distinctThreads() const;
-
-  /// Heap bytes behind overflow blocks (the first block is inline in the
-  /// owning object, whose sizeof already covers it).
-  size_t overflowBytes() const;
-
-private:
-  /// One fixed-capacity block of the chain.
-  struct Chunk {
-    static constexpr size_t Capacity = 8;
-    std::atomic<ThreadId> Tids[Capacity];
-    std::atomic<uint64_t> Accesses[Capacity];
-    std::atomic<uint64_t> Cycles[Capacity];
-    std::atomic<Chunk *> Next{nullptr};
-
-    Chunk();
-  };
-
-  Chunk First;
-};
-
-/// One bucket's single-writer accumulation inside a shard: the plain-field
-/// mirror of AtomicBucketStats. FirstActor/MultiActor are tracked per
-/// shard and reconciled at merge (first merged shard to publish wins,
-/// disagreement marks the bucket multi-actor).
-struct ShardBucketStats {
-  uint64_t Reads = 0;
-  uint64_t Writes = 0;
-  uint64_t Cycles = 0;
-  uint32_t FirstActor = NoActor;
-  bool MultiActor = false;
-
-  void record(uint32_t Actor, AccessKind Kind, uint64_t LatencyCycles) {
-    if (Kind == AccessKind::Read)
-      ++Reads;
-    else
-      ++Writes;
-    Cycles += LatencyCycles;
-    if (FirstActor == NoActor)
-      FirstActor = Actor;
-    else if (FirstActor != Actor)
-      MultiActor = true;
-  }
-};
-
-/// Atomic backing store for one histogram bucket (per-word at line
-/// granularity with thread actors, per-line at page granularity with node
-/// actors), filled by merged shard buckets.
-struct AtomicBucketStats {
-  std::atomic<uint64_t> Reads{0};
-  std::atomic<uint64_t> Writes{0};
-  std::atomic<uint64_t> Cycles{0};
-  std::atomic<uint32_t> FirstActor{NoActor};
-  std::atomic<bool> MultiActor{false};
-
-  void merge(const ShardBucketStats &Bucket);
-  WordStats snapshot() const;
-};
+/// Adds \p Stats into \p Remote, kept sorted by distance (at most
+/// NumaTopology::MaxNodes - 1 distinct distances exist under a settled
+/// home).
+inline void addRemoteDistance(std::vector<RemoteDistanceStats> &Remote,
+                              const RemoteDistanceStats &Stats) {
+  auto It = std::lower_bound(Remote.begin(), Remote.end(), Stats.Distance,
+                             [](const RemoteDistanceStats &Slot, uint32_t D) {
+                               return Slot.Distance < D;
+                             });
+  if (It == Remote.end() || It->Distance != Stats.Distance)
+    It = Remote.insert(It, RemoteDistanceStats{Stats.Distance, 0, 0});
+  It->Accesses += Stats.Accesses;
+  It->Cycles += Stats.Cycles;
+}
 
 /// Granularity-neutral value snapshot of one materialized grain — the
 /// common finding source both report builders consume (line findings read
@@ -203,82 +169,37 @@ struct PageAccessContext {
   uint32_t Distance = 0;
 };
 
-/// Line-grain shard extras: nothing beyond the generic shard fields.
-struct LineShardExtras {
+/// Line-grain extras: nothing beyond the generic fields.
+struct LineGrainExtras {
   void record(uint32_t, AccessKind, uint64_t, const LineAccessContext &) {}
+  void add(const LineGrainExtras &) {}
   uint64_t remoteAccesses() const { return 0; }
   size_t heapBytes() const { return 0; }
 };
 
-/// Line-grain per-grain extras: empty (overlaid via [[no_unique_address]]
-/// so the line record stays exactly as wide as before the generalization —
-/// the shadow-bytes accounting the goldens embed depends on it).
-struct LineGrainExtras {
-  void merge(const LineShardExtras &) {}
-  uint64_t remoteAccesses() const { return 0; }
-};
-
-/// Page-grain shard extras: single-writer mirrors of the remote-traffic
-/// totals, per-node accumulators, and distance buckets.
-struct PageShardExtras {
+/// Page-grain extras: everything the NUMA story needs beyond the generic
+/// counters. Node populations are tiny (NumaTopology::MaxNodes), so the
+/// per-node accumulators are fixed arrays indexed by node id.
+struct PageGrainExtras {
   uint64_t RemoteAccesses = 0;
   uint64_t RemoteCycles = 0;
   uint64_t NodeAccesses[NumaTopology::MaxNodes] = {};
   uint64_t NodeWrites[NumaTopology::MaxNodes] = {};
   uint64_t NodeCycles[NumaTopology::MaxNodes] = {};
-  /// Remote traffic per crossed distance, in arrival order (at most
-  /// MaxNodes - 1 distinct distances exist under a settled home).
+  /// Remote traffic per crossed distance, sorted by distance. Its
+  /// accesses sum to RemoteAccesses and its cycles to RemoteCycles.
   std::vector<RemoteDistanceStats> Remote;
 
   void record(NodeId Node, AccessKind Kind, uint64_t LatencyCycles,
               const PageAccessContext &Ctx);
+  void add(const PageGrainExtras &Other);
   uint64_t remoteAccesses() const { return RemoteAccesses; }
   size_t heapBytes() const {
     return Remote.capacity() * sizeof(RemoteDistanceStats);
   }
-};
-
-/// Page-grain per-grain extras: everything the NUMA story needs beyond the
-/// generic counters. Node populations are tiny (NumaTopology::MaxNodes) so
-/// they live in fixed arrays rather than the chunk chain.
-struct PageGrainExtras {
-  /// One lock-free distance bucket: claimed by CAS-publishing its distance
-  /// value (0 = empty; validated remote distances are >= 1). A page's home
-  /// is settled at first touch, so at most MaxNodes - 1 distinct distances
-  /// ever occur and the fixed array never fills.
-  struct AtomicDistanceStats {
-    std::atomic<uint32_t> Distance{0};
-    std::atomic<uint64_t> Accesses{0};
-    std::atomic<uint64_t> Cycles{0};
-  };
-
-  std::atomic<uint64_t> RemoteAccesses{0};
-  std::atomic<uint64_t> RemoteCycles{0};
-  /// Fixed per-node accumulators; node ids are bounded by
-  /// NumaTopology::MaxNodes.
-  std::atomic<uint64_t> NodeAccesses[NumaTopology::MaxNodes];
-  std::atomic<uint64_t> NodeWrites[NumaTopology::MaxNodes];
-  std::atomic<uint64_t> NodeCycles[NumaTopology::MaxNodes];
-  /// Remote traffic bucketed by crossed node-pair distance.
-  AtomicDistanceStats DistanceSlots[NumaTopology::MaxNodes];
-
-  PageGrainExtras();
-
-  void merge(const PageShardExtras &Shard);
-
-  uint64_t remoteAccesses() const {
-    return RemoteAccesses.load(std::memory_order_relaxed);
-  }
-  uint64_t remoteCycles() const {
-    return RemoteCycles.load(std::memory_order_relaxed);
-  }
+  /// The nodes that accessed the page, ordered by node id.
   std::vector<NodePageStats> nodes() const;
-  std::vector<RemoteDistanceStats> remoteByDistance() const;
   size_t nodeCount() const;
-
-private:
-  /// Adds remote samples to their distance bucket (lock-free).
-  void bucketRemote(uint32_t Distance, uint64_t Accesses, uint64_t Cycles);
 };
 
 /// The line grain: threads invalidate each other's cache lines; buckets
@@ -287,7 +208,6 @@ struct LineGrainTraits {
   using ActorId = ThreadId;
   using Context = LineAccessContext;
   using Extras = LineGrainExtras;
-  using ShardExtras = LineShardExtras;
   static constexpr const char *Name = "line";
   static constexpr const char *BucketRangeMsg = "word index outside line";
   static constexpr const char *SpanMsg = "access must cover at least one word";
@@ -299,25 +219,47 @@ struct PageGrainTraits {
   using ActorId = NodeId;
   using Context = PageAccessContext;
   using Extras = PageGrainExtras;
-  using ShardExtras = PageShardExtras;
   static constexpr const char *Name = "page";
   static constexpr const char *BucketRangeMsg = "line index outside page";
   static constexpr const char *SpanMsg = "access must cover at least one line";
 };
 
-/// One grain's single-writer accumulation inside a per-thread shard: plain
-/// fields only, keyed by grain base address in the owning shard's map.
-/// Buckets are sized lazily on first touch so untouched grains cost one
-/// map node, not a full histogram.
-template <typename Traits> struct GrainShardRecord {
+/// The additive statistics of one grain, plain fields only. A per-thread
+/// shard keeps one per touched grain (keyed by grain base address, buckets
+/// sized lazily on first touch so untouched grains cost one map node), and
+/// every GrainInfo keeps one as its merged totals.
+template <typename Traits> struct GrainRecord {
   uint64_t Accesses = 0;
   uint64_t Writes = 0;
   uint64_t Cycles = 0;
   uint64_t Invalidations = 0;
-  std::vector<ShardBucketStats> Buckets;
-  /// Sorted by tid; thread populations per grain are tiny.
+  std::vector<WordStats> Buckets;
+  /// Sorted by tid.
   std::vector<ThreadLineStats> Threads;
-  [[no_unique_address]] typename Traits::ShardExtras Extras;
+  [[no_unique_address]] typename Traits::Extras Extras;
+
+  /// Adds \p Other into this record. Every field is an integer sum, so the
+  /// order records are added in cannot change a total.
+  void add(const GrainRecord &Other) {
+    CHEETAH_ASSERT(Other.Buckets.empty() ||
+                       Other.Buckets.size() == Buckets.size(),
+                   "added record's bucket count does not match");
+    Accesses += Other.Accesses;
+    Writes += Other.Writes;
+    Cycles += Other.Cycles;
+    Invalidations += Other.Invalidations;
+    for (size_t B = 0; B < Other.Buckets.size(); ++B)
+      Buckets[B].add(Other.Buckets[B]);
+    for (const ThreadLineStats &Thread : Other.Threads)
+      addThreadStats(Threads, Thread);
+    Extras.add(Other.Extras);
+  }
+
+  /// Heap bytes behind the record's vectors (capacity, not size).
+  size_t heapBytes() const {
+    return Buckets.capacity() * sizeof(WordStats) +
+           Threads.capacity() * sizeof(ThreadLineStats) + Extras.heapBytes();
+  }
 };
 
 /// Everything Cheetah tracks about one susceptible grain, parameterized by
@@ -326,14 +268,11 @@ template <typename Traits> class GrainInfo {
 public:
   using ActorId = typename Traits::ActorId;
   using Context = typename Traits::Context;
-  using ShardRecord = GrainShardRecord<Traits>;
+  using ShardRecord = GrainRecord<Traits>;
 
-  explicit GrainInfo(uint64_t BucketsPerGrain)
-      : Buckets(std::make_unique<AtomicBucketStats[]>(BucketsPerGrain)),
-        BucketCount(BucketsPerGrain) {}
-
-  GrainInfo(const GrainInfo &) = delete;
-  GrainInfo &operator=(const GrainInfo &) = delete;
+  explicit GrainInfo(uint64_t BucketsPerGrain) {
+    Stats.Buckets.resize(BucketsPerGrain);
+  }
 
   /// Records one sampled access landing on this grain: the invalidation
   /// decision goes through the shared two-entry table (it depends on the
@@ -345,6 +284,7 @@ public:
   bool recordShard(ShardRecord &Record, ThreadId Tid, ActorId Actor,
                    AccessKind Kind, uint64_t BucketIndex, uint64_t BucketSpan,
                    uint64_t LatencyCycles, const Context &Ctx = {}) {
+    uint64_t BucketCount = Stats.Buckets.size();
     CHEETAH_ASSERT(BucketIndex < BucketCount, Traits::BucketRangeMsg);
     CHEETAH_ASSERT(BucketSpan >= 1, Traits::SpanMsg);
 
@@ -367,38 +307,20 @@ public:
     for (uint64_t B = BucketIndex; B < End; ++B)
       Record.Buckets[B].record(Actor, Kind, B == BucketIndex ? LatencyCycles : 0);
 
-    auto It = std::lower_bound(
-        Record.Threads.begin(), Record.Threads.end(), Tid,
-        [](const ThreadLineStats &Slot, ThreadId T) { return Slot.Tid < T; });
-    if (It == Record.Threads.end() || It->Tid != Tid)
-      It = Record.Threads.insert(It, ThreadLineStats{Tid, 0, 0});
-    It->Accesses += 1;
-    It->Cycles += LatencyCycles;
+    addThreadStats(Record.Threads, {Tid, 1, LatencyCycles});
     return Invalidation;
   }
 
-  /// Folds one shard's accumulation back into the shared atomics. Callers
-  /// serialize merges against ingestion (epoch quiesce); merging itself may
-  /// race other readers safely since every target is atomic.
-  void mergeShard(const ShardRecord &Record) {
-    CHEETAH_ASSERT(Record.Buckets.empty() ||
-                       Record.Buckets.size() == BucketCount,
-                   "shard bucket count does not match the grain");
-    Invalidations.fetch_add(Record.Invalidations, std::memory_order_relaxed);
-    Accesses.fetch_add(Record.Accesses, std::memory_order_relaxed);
-    Writes.fetch_add(Record.Writes, std::memory_order_relaxed);
-    Cycles.fetch_add(Record.Cycles, std::memory_order_relaxed);
-    ExtraStats.merge(Record.Extras);
-    for (size_t B = 0; B < Record.Buckets.size(); ++B)
-      Buckets[B].merge(Record.Buckets[B]);
-    for (const ThreadLineStats &Thread : Record.Threads)
-      ThreadStats.add(Thread.Tid, Thread.Accesses, Thread.Cycles);
-  }
+  /// Adds one shard's accumulation into the grain's totals. Callers
+  /// serialize merges against ingestion and against each other (epoch
+  /// quiesce).
+  void mergeShard(const ShardRecord &Record) { Stats.add(Record); }
 
-  /// Records one access straight into the shared counters by merging a
+  /// Records one access straight into the grain's totals by merging a
   /// one-sample shard record — the same accumulate-and-merge code a
-  /// table's per-thread shards run, for callers holding a bare grain (unit
-  /// tests, reference checks). Detection records through GrainTable.
+  /// table's per-thread shards run, for single-threaded callers holding a
+  /// bare grain (unit tests, reference checks). Detection records through
+  /// GrainTable.
   bool recordMerged(ThreadId Tid, ActorId Actor, AccessKind Kind,
                     uint64_t BucketIndex, uint64_t BucketSpan,
                     uint64_t LatencyCycles, const Context &Ctx = {}) {
@@ -410,47 +332,30 @@ public:
   }
 
   /// Invalidation count (the significance signal).
-  uint64_t invalidations() const {
-    return Invalidations.load(std::memory_order_relaxed);
-  }
+  uint64_t invalidations() const { return Stats.Invalidations; }
 
   /// Total sampled accesses / writes / cycles on the grain.
-  uint64_t accesses() const {
-    return Accesses.load(std::memory_order_relaxed);
-  }
-  uint64_t writes() const { return Writes.load(std::memory_order_relaxed); }
-  uint64_t cycles() const { return Cycles.load(std::memory_order_relaxed); }
+  uint64_t accesses() const { return Stats.Accesses; }
+  uint64_t writes() const { return Stats.Writes; }
+  uint64_t cycles() const { return Stats.Cycles; }
 
-  /// Value snapshot of the per-bucket statistics, one entry per bucket of
-  /// the grain (consistent once ingestion quiesces).
-  std::vector<WordStats> buckets() const {
-    std::vector<WordStats> Result;
-    Result.reserve(BucketCount);
-    for (uint64_t B = 0; B < BucketCount; ++B)
-      Result.push_back(Buckets[B].snapshot());
-    return Result;
-  }
+  /// The per-bucket statistics, one entry per bucket of the grain.
+  const std::vector<WordStats> &buckets() const { return Stats.Buckets; }
 
-  /// Value snapshot of the per-thread accumulators, ordered by thread id.
-  std::vector<ThreadLineStats> threads() const {
-    return ThreadStats.snapshot();
+  /// The per-thread accumulators, ordered by thread id.
+  const std::vector<ThreadLineStats> &threads() const {
+    return Stats.Threads;
   }
 
   /// Number of distinct threads that accessed the grain.
-  size_t threadCount() const { return ThreadStats.distinctThreads(); }
+  size_t threadCount() const { return Stats.Threads.size(); }
 
   /// The whole grain as the granularity-neutral finding source the report
   /// builders consume.
   GrainSnapshot snapshot(uint64_t Base) const {
-    GrainSnapshot Result;
-    Result.Base = Base;
-    Result.Accesses = accesses();
-    Result.Writes = writes();
-    Result.Cycles = cycles();
-    Result.Invalidations = invalidations();
-    Result.Buckets = buckets();
-    Result.Threads = threads();
-    return Result;
+    return {Base,         Stats.Accesses,      Stats.Writes,
+            Stats.Cycles, Stats.Invalidations, Stats.Buckets,
+            Stats.Threads};
   }
 
   /// Access to the invalidation table (tests). This is the packed
@@ -458,32 +363,24 @@ public:
   /// ids.
   const CacheLineTable &table() const { return Table; }
 
-  /// Exact bytes of heap memory behind this grain's detailed tracking
-  /// (object, bucket slots, and every per-thread stats chunk) — feeds the
+  /// Exact bytes of heap memory behind this grain's detailed tracking (the
+  /// object plus the capacity of every vector in its record) — feeds the
   /// memory ablation's honest accounting.
   size_t footprintBytes() const {
-    return sizeof(GrainInfo) + BucketCount * sizeof(AtomicBucketStats) +
-           ThreadStats.overflowBytes();
+    return sizeof(GrainInfo) + Stats.heapBytes();
   }
 
   /// Remote-actor accesses recorded by the extras (0 for grains whose
   /// extras track none) — folded into the eviction residue so the
   /// conservation proof covers HasRemote stages too.
-  uint64_t remoteAccesses() const { return ExtraStats.remoteAccesses(); }
+  uint64_t remoteAccesses() const { return Stats.Extras.remoteAccesses(); }
 
 protected:
-  const typename Traits::Extras &extras() const { return ExtraStats; }
+  const typename Traits::Extras &extras() const { return Stats.Extras; }
 
 private:
   CacheLineTable Table;
-  std::atomic<uint64_t> Invalidations{0};
-  std::atomic<uint64_t> Accesses{0};
-  std::atomic<uint64_t> Writes{0};
-  std::atomic<uint64_t> Cycles{0};
-  std::unique_ptr<AtomicBucketStats[]> Buckets;
-  uint64_t BucketCount;
-  [[no_unique_address]] typename Traits::Extras ExtraStats;
-  ThreadStatsChain ThreadStats;
+  GrainRecord<Traits> Stats;
 };
 
 } // namespace core

@@ -16,25 +16,26 @@
 ///    first-touch placement policy,
 ///  - a lazily materialized `InfoT` pointer for susceptible grains.
 ///
-/// Counters are relaxed atomics, homes and details are CAS-published
+/// Write counters are relaxed atomics, homes and details are CAS-published
 /// (losing allocators delete their copy), and a materialized GrainInfo's
-/// two-entry table is a single-word CAS state machine.
+/// two-entry table is a single-word CAS state machine. A GrainInfo's
+/// additive statistics are plain data: only quiesce() writes them.
 ///
 /// ## Per-thread shard ingestion
 ///
 /// The table also owns the **per-thread shard registry**, the one way a
 /// sample is recorded: each ingesting OS thread lazily registers a shard (a
-/// map from grain base to a plain-field GrainShardRecord) and `record()`
+/// map from grain base to a plain-field GrainRecord) and `record()`
 /// accumulates into it with zero cross-thread CAS traffic beyond the shared
-/// two-entry table. `quiesce()` folds every shard back into the shared
-/// atomics in deterministic order (shards by registration order, grains by
-/// address), reports merge totals so callers can prove conservation
-/// against their own counters, and then releases every shard: the next
-/// epoch starts from an empty registry, so threads that have exited leave
-/// nothing behind. Shards key on the *ingesting OS thread*, not the
-/// sample's tid — several OS threads may legitimately deliver samples
-/// carrying the same simulated tid, and single-writer shard ownership must
-/// hold regardless.
+/// two-entry table. `quiesce()` adds every shard record into its grain's
+/// record in deterministic order (shards by registration order, grains by
+/// address), single-threaded under the ingestion fence. It reports merge
+/// totals so callers can prove conservation against their own counters,
+/// and then releases every shard: the next epoch starts from an empty
+/// registry, so threads that have exited leave nothing behind. Shards key
+/// on the *ingesting OS thread*, not the sample's tid — several OS threads
+/// may legitimately deliver samples carrying the same simulated tid, and
+/// single-writer shard ownership must hold regardless.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +64,7 @@ struct ShadowRegion {
   uint64_t Size = 0;
 };
 
-/// What one quiesce() folded back into the shared table — the evidence the
+/// What one quiesce() folded back into the grains — the evidence the
 /// conservation proof checks against the detector's own counters.
 struct GrainMergeStats {
   uint64_t Shards = 0;  ///< shards visited (including empty ones)
@@ -326,7 +327,7 @@ public:
                             LatencyCycles, Ctx);
   }
 
-  /// Epoch quiesce: folds every shard back into the shared atomics, then
+  /// Epoch quiesce: adds every shard record into its grain's record, then
   /// releases all shard storage and retires the registry id, so successive
   /// epochs merge only their deltas and every thread's cached shard goes
   /// stale (its next record registers a fresh one). Deterministic — shards
@@ -475,9 +476,7 @@ public:
   /// the capacities of its lazily sized vectors.
   static size_t shardRecordBytes(const ShardRecord &Record) {
     return sizeof(std::pair<const uint64_t, ShardRecord>) + sizeof(void *) +
-           Record.Buckets.capacity() * sizeof(Record.Buckets[0]) +
-           Record.Threads.capacity() * sizeof(Record.Threads[0]) +
-           Record.Extras.heapBytes();
+           Record.heapBytes();
   }
 
   /// Best-effort trim to the byte budget; a no-op when unbudgeted or

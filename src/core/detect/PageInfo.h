@@ -48,9 +48,9 @@ class PageInfo : public GrainInfo<PageGrainTraits> {
 public:
   explicit PageInfo(uint64_t LinesPerPage) : GrainInfo(LinesPerPage) {}
 
-  /// Records one sampled access landing on this page straight into the
-  /// shared counters (GrainInfo::recordMerged). Lock-free; safe from any
-  /// number of threads.
+  /// Records one sampled access landing on this page straight into its
+  /// totals (GrainInfo::recordMerged). Single-threaded callers only (unit
+  /// tests); detection records through PageTable.
   /// \param Tid the accessing thread (feeds the per-thread EQ.2 breakdown).
   /// \param Node the accessing thread's NUMA node.
   /// \param LineIndex index of the touched cache line within the page.
@@ -68,26 +68,25 @@ public:
                         LatencyCycles, PageAccessContext{Remote, Distance});
   }
 
-  /// Sampled accesses issued from a node other than the page's home, and
-  /// the latency cycles they accumulated (remote-DRAM traffic).
-  uint64_t remoteAccesses() const { return extras().remoteAccesses(); }
-  uint64_t remoteCycles() const { return extras().remoteCycles(); }
+  /// Latency cycles of the sampled accesses issued from a node other than
+  /// the page's home (remote-DRAM traffic; remoteAccesses() counts them).
+  uint64_t remoteCycles() const { return extras().RemoteCycles; }
 
-  /// Value snapshot of the per-line statistics, one entry per cache line of
-  /// the page. Reuses WordStats with node ids in the thread fields
-  /// (FirstThread = first node, MultiThread = multi-node) so
-  /// SharingClassifier applies unchanged at page granularity.
-  std::vector<WordStats> lines() const { return buckets(); }
+  /// The per-line statistics, one entry per cache line of the page.
+  /// Reuses WordStats with node ids in the thread fields (FirstThread =
+  /// first node, MultiThread = multi-node) so SharingClassifier applies
+  /// unchanged at page granularity.
+  const std::vector<WordStats> &lines() const { return buckets(); }
 
-  /// Value snapshot of the per-node accumulators, ordered by node id.
+  /// The per-node accumulators of the nodes that accessed the page,
+  /// ordered by node id.
   std::vector<NodePageStats> nodes() const { return extras().nodes(); }
 
-  /// Value snapshot of the remote traffic bucketed by crossed node-pair
-  /// distance, ordered by distance. With a settled home the bucket
-  /// accesses sum exactly to remoteAccesses() and the cycles to
-  /// remoteCycles().
-  std::vector<RemoteDistanceStats> remoteByDistance() const {
-    return extras().remoteByDistance();
+  /// The remote traffic bucketed by crossed node-pair distance, ordered by
+  /// distance. The bucket accesses sum exactly to remoteAccesses() and the
+  /// cycles to remoteCycles().
+  const std::vector<RemoteDistanceStats> &remoteByDistance() const {
+    return extras().Remote;
   }
 
   /// Number of distinct nodes that accessed the page.

@@ -50,8 +50,8 @@ public:
 
   /// Bytes of shadow metadata currently allocated: the flat per-line slab
   /// arrays plus the exact footprint of every materialized CacheLineInfo
-  /// (word slots and per-thread stats chunks included), so the memory
-  /// ablation reports honest numbers.
+  /// (its word and per-thread vectors included), so the memory ablation
+  /// reports honest numbers.
   size_t shadowBytes() const { return metadataBytes(); }
 
   const CacheGeometry &geometry() const { return Geometry; }

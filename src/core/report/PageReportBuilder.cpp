@@ -153,32 +153,10 @@ PageReportBuilder::Output PageReportBuilder::finalize(const Assessor &Assess,
     Site.Invalidations += Profile.Invalidations;
     Site.RemoteAccesses += Profile.RemoteAccesses;
     Site.RemoteCycles += Profile.RemoteCycles;
-    for (const RemoteDistanceStats &Bucket : Profile.RemoteByDistance) {
-      auto At = std::lower_bound(
-          Site.RemoteByDistance.begin(), Site.RemoteByDistance.end(),
-          Bucket.Distance,
-          [](const RemoteDistanceStats &S, uint32_t D) {
-            return S.Distance < D;
-          });
-      if (At != Site.RemoteByDistance.end() &&
-          At->Distance == Bucket.Distance) {
-        At->Accesses += Bucket.Accesses;
-        At->Cycles += Bucket.Cycles;
-      } else {
-        Site.RemoteByDistance.insert(At, Bucket);
-      }
-    }
-    for (const ThreadLineStats &Stats : Profile.PerThread) {
-      auto It = std::lower_bound(
-          Site.PerThread.begin(), Site.PerThread.end(), Stats.Tid,
-          [](const ThreadLineStats &S, ThreadId T) { return S.Tid < T; });
-      if (It != Site.PerThread.end() && It->Tid == Stats.Tid) {
-        It->Accesses += Stats.Accesses;
-        It->Cycles += Stats.Cycles;
-      } else {
-        Site.PerThread.insert(It, Stats);
-      }
-    }
+    for (const RemoteDistanceStats &Bucket : Profile.RemoteByDistance)
+      addRemoteDistance(Site.RemoteByDistance, Bucket);
+    for (const ThreadLineStats &Stats : Profile.PerThread)
+      addThreadStats(Site.PerThread, Stats);
   }
   // One EQ.2-EQ.4 pass per site, not per page: sibling pages share the
   // assessment by construction.

@@ -82,10 +82,8 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
     return;
   ObjectAggregate &Aggregate = aggregateFor(Line.Base);
 
-  // The snapshot's one consistent view of each lock-free structure serves
-  // every use below: buckets feed classification and the per-word entries,
-  // threads feed the per-thread merge and the classifier's distinct-thread
-  // count.
+  // Buckets feed classification and the per-word entries; threads feed
+  // the per-thread merge and the classifier's distinct-thread count.
   const std::vector<WordStats> &Words = Line.Buckets;
   const std::vector<ThreadLineStats> &LineThreads = Line.Threads;
 
@@ -95,19 +93,8 @@ void ReportBuilder::addLine(const GrainSnapshot &Line) {
   Aggregate.Profile.SampledCycles += Line.Cycles;
   Aggregate.Profile.Invalidations += Line.Invalidations;
 
-  for (const ThreadLineStats &Stats : LineThreads) {
-    auto &PerThread = Aggregate.Profile.PerThread;
-    auto It = std::lower_bound(PerThread.begin(), PerThread.end(), Stats.Tid,
-                               [](const ThreadLineStats &S, ThreadId T) {
-                                 return S.Tid < T;
-                               });
-    if (It != PerThread.end() && It->Tid == Stats.Tid) {
-      It->Accesses += Stats.Accesses;
-      It->Cycles += Stats.Cycles;
-    } else {
-      PerThread.insert(It, Stats);
-    }
-  }
+  for (const ThreadLineStats &Stats : LineThreads)
+    addThreadStats(Aggregate.Profile.PerThread, Stats);
 
   LineClassification Verdict =
       Classifier.classify(Words, static_cast<uint32_t>(LineThreads.size()));

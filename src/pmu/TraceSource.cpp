@@ -6,9 +6,8 @@
 
 #include "pmu/TraceSource.h"
 
+#include "support/FileIO.h"
 #include "support/Json.h"
-
-#include <cstdio>
 
 using namespace cheetah;
 using namespace cheetah::pmu;
@@ -157,47 +156,6 @@ bool TraceData::parse(const std::string &Text, TraceData &Out,
 // TraceSource
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// Writes \p Text to \p Path. \returns false with \p Error on I/O failure.
-bool writeTraceFile(const std::string &Path, const std::string &Text,
-                    std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    Error = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  if (Written != Text.size() || !Closed) {
-    Error = "short write to '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-/// Reads all of \p Path into \p Out. \returns false with \p Error when the
-/// file cannot be opened or read.
-bool readTraceFile(const std::string &Path, std::string &Out,
-                   std::string &Error) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    Error = "cannot open trace file '" + Path + "'";
-    return false;
-  }
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  if (!Ok)
-    Error = "read error on trace file '" + Path + "'";
-  return Ok;
-}
-
-} // namespace
-
 TraceSource::TraceSource(std::unique_ptr<SampleSource> Inner, std::string Path,
                          uint64_t SamplingPeriod)
     : Inner(std::move(Inner)), Path(std::move(Path)) {
@@ -221,7 +179,7 @@ SourceStatus TraceSource::start() {
   // Replay mode: the whole trace is materialized up front so a parse error
   // surfaces here, before any event reaches the sink.
   std::string Text, Error;
-  if (!readTraceFile(Path, Text, Error))
+  if (!readFile(Path, Text, Error))
     return {false, Error};
   if (!TraceData::parse(Text, Data, Error))
     return {false, "'" + Path + "': " + Error};
@@ -257,7 +215,7 @@ SourceStatus TraceSource::stop() {
   if (Path.empty())
     return {true, ""}; // in-memory recording: nothing to flush
   std::string Error;
-  if (!writeTraceFile(Path, Data.serialize(), Error))
+  if (!writeFile(Path, Data.serialize(), Error))
     return {false, Error};
   return {true, ""};
 }

@@ -19,7 +19,7 @@
 /// Because detection is delivery-order-sensitive, a replayed trace must
 /// produce a byte-identical `cheetah-report-v4` to the live run that
 /// recorded it — CI records a NUMA workload, replays it, and `cmp`s the
-/// two reports in all three table builds.
+/// two reports.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace cheetah;
@@ -153,6 +154,54 @@ TEST(EvictionFootprintTest, ShardRecordsCountedAndDroppedAtQuiesce) {
   Detect.quiesce();
   EXPECT_EQ(Shadow.shardBytes(), 0u);
   EXPECT_EQ(Shadow.footprintBytes(), Shadow.metadataBytes());
+}
+
+TEST(EvictionFootprintTest, GrainFootprintIsRecordPlusVectorCapacities) {
+  // A merged grain is one plain record: its footprint is the object plus
+  // the capacity of every vector it owns, nothing hidden elsewhere — the
+  // identity enforceBudget's denominator relies on.
+  constexpr uint64_t PageSize = 4096;
+  constexpr unsigned Threads = 4;
+  NumaTopology Topology(3, PageSize);
+  CacheGeometry Geometry{64};
+  ShadowMemory Shadow{Geometry, {{RegionBase, PageSize}}};
+  PageTable Pages(Topology, Geometry, {{RegionBase, PageSize}});
+  CacheLineInfo &Line = Shadow.materializeDetail(RegionBase);
+  PageInfo &Page = Pages.materializeDetail(RegionBase);
+
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (uint64_t I = 0; I < 200; ++I) {
+        AccessKind Kind = I % 3 ? AccessKind::Read : AccessKind::Write;
+        Shadow.record(RegionBase, Line, T, T, Kind, /*Bucket=*/I % 16,
+                      /*Span=*/1, /*LatencyCycles=*/10);
+        // Nodes 1 and 2 are remote at distinct distances.
+        NodeId Node = T % 3;
+        Pages.record(RegionBase, Page, T, Node, Kind,
+                     /*Bucket=*/I % (PageSize / 64), /*Span=*/1,
+                     /*LatencyCycles=*/40,
+                     PageAccessContext{Node != 0, Node ? 10 + 10 * Node : 0});
+      }
+    });
+  for (std::thread &Worker : Workers)
+    Worker.join();
+  Shadow.quiesce();
+  Pages.quiesce();
+
+  ASSERT_EQ(Line.threads().size(), size_t(Threads));
+  EXPECT_EQ(Line.footprintBytes(),
+            sizeof(CacheLineInfo) +
+                Line.words().capacity() * sizeof(WordStats) +
+                Line.threads().capacity() * sizeof(ThreadLineStats));
+
+  ASSERT_EQ(Page.threads().size(), size_t(Threads));
+  ASSERT_EQ(Page.remoteByDistance().size(), 2u);
+  EXPECT_EQ(Page.footprintBytes(),
+            sizeof(PageInfo) + Page.lines().capacity() * sizeof(WordStats) +
+                Page.threads().capacity() * sizeof(ThreadLineStats) +
+                Page.remoteByDistance().capacity() *
+                    sizeof(RemoteDistanceStats));
 }
 
 //===----------------------------------------------------------------------===//

@@ -276,8 +276,7 @@ TEST(PageDetectorTest, SerialPhaseSetsHomesButRecordsNoDetail) {
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.PageSamplesRecorded, 1u);
   EXPECT_EQ(Stats.RemoteSamples, 1u);
-  // Fold any per-thread shards back before reading detail (no-op in the
-  // shared-table builds).
+  // Fold the per-thread shards into the page before reading detail.
   H.Detect.quiesce();
   const PageInfo *Info = H.Pages.detail(RegionBase);
   ASSERT_NE(Info, nullptr);
@@ -299,8 +298,7 @@ TEST(PageDetectorTest, CrossNodeHammerCountsPageInvalidations) {
   DetectorStats Stats = H.Detect.stats();
   EXPECT_EQ(Stats.PageSamplesRecorded, 100u);
   EXPECT_GT(Stats.PageInvalidations, 90u); // ping-pong: ~every write
-  // Fold any per-thread shards back before reading detail (no-op in the
-  // shared-table builds).
+  // Fold the per-thread shards into the page before reading detail.
   H.Detect.quiesce();
   const PageInfo *Info = H.Pages.detail(RegionBase);
   ASSERT_NE(Info, nullptr);

@@ -588,8 +588,7 @@ TEST(PagePropertyTest, ConcurrentHammerMatchesSequentialTotalsPerPage) {
                               Node != Home->second);
   }
 
-  // Fold any per-thread shards back before reading detail (no-op in the
-  // shared-table builds).
+  // Fold the per-thread shards into the pages before reading detail.
   Detect.quiesce();
 
   EXPECT_EQ(Table.materializedPages(), References.size());

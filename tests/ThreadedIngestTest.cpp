@@ -241,16 +241,18 @@ TEST(ThreadedIngestTest, ContendedLinesLoseNoSamples) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lock-free CacheLineInfo: 8 threads hammering ONE shared line with
-// one-sample merges. The worst case for the packed CAS table and the
-// per-line atomics — every update contends. Run under TSan to prove the
-// mutex-free merge path clean.
+// 8 threads hammering ONE shared line through ShadowMemory::record, then
+// quiesce(). The worst case for the packed CAS table — every update
+// contends — and for the shard merge, which folds 8 records into one
+// grain. Run under TSan to prove the contended production path clean.
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadedIngestTest, SingleSharedLineHammerLosesNoUpdates) {
   constexpr unsigned SamplesPerThread = 30000;
   constexpr uint64_t WordsPerLine = 16;
-  CacheLineInfo Info(WordsPerLine);
+  CacheGeometry Geometry(LineSize);
+  ShadowMemory Shadow(Geometry, {{RegionBase, LineSize}});
+  CacheLineInfo &Info = Shadow.materializeDetail(RegionBase);
 
   std::atomic<uint64_t> WritesIssued{0}, Invalidations{0};
   std::vector<std::thread> Threads;
@@ -262,15 +264,17 @@ TEST(ThreadedIngestTest, SingleSharedLineHammerLosesNoUpdates) {
         AccessKind Kind =
             Rng.nextBool(0.5) ? AccessKind::Write : AccessKind::Read;
         LocalWrites += Kind == AccessKind::Write ? 1 : 0;
-        LocalInvalidations += Info.recordAccess(
-            static_cast<ThreadId>(T), Kind, Rng.nextBelow(WordsPerLine),
-            /*WordSpan=*/1, /*LatencyCycles=*/10);
+        LocalInvalidations += Shadow.record(
+            RegionBase, Info, static_cast<ThreadId>(T),
+            /*Actor=*/static_cast<ThreadId>(T), Kind,
+            Rng.nextBelow(WordsPerLine), /*Span=*/1, /*LatencyCycles=*/10);
       }
       WritesIssued.fetch_add(LocalWrites);
       Invalidations.fetch_add(LocalInvalidations);
     });
   for (std::thread &Thread : Threads)
     Thread.join();
+  Shadow.quiesce();
 
   constexpr uint64_t Total = uint64_t(IngestThreads) * SamplesPerThread;
   EXPECT_EQ(Info.accesses(), Total);
@@ -293,7 +297,7 @@ TEST(ThreadedIngestTest, SingleSharedLineHammerLosesNoUpdates) {
   EXPECT_EQ(WordCycles, Total * 10);
 
   // Exactly one per-thread slot per hammering thread, each conserved.
-  std::vector<ThreadLineStats> PerThread = Info.threads();
+  const std::vector<ThreadLineStats> &PerThread = Info.threads();
   ASSERT_EQ(PerThread.size(), size_t(IngestThreads));
   for (unsigned T = 0; T < IngestThreads; ++T) {
     EXPECT_EQ(PerThread[T].Tid, T);
@@ -356,11 +360,12 @@ TEST(ThreadedIngestTest, SingleSharedLineDetectorHammer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lock-free page layer: 8 threads hammering ONE shared 4 KiB page, pinned
-// across two simulated NUMA nodes (tid % 2). The page-granularity mirror
-// of the single-shared-line hammer above: every update contends on the
-// packed node table, the per-line histogram, and the per-node
-// accumulators. Run under TSan to prove the mutex-free page path clean.
+// Page layer: 8 threads hammering ONE shared 4 KiB page, pinned across
+// two simulated NUMA nodes (tid % 2). The page-granularity mirror of the
+// single-shared-line hammer above: every update contends on the packed
+// node table, and the merge folds every shard's per-line histogram and
+// per-node accumulators into one page. Run under TSan to prove the
+// contended page path clean.
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadedIngestTest, SingleSharedPageHammerAcrossNodesLosesNoUpdates) {

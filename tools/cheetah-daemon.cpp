@@ -41,6 +41,7 @@
 #include "interpose/Preload.h"
 #include "pmu/TraceSource.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <map>
@@ -53,34 +54,14 @@ using namespace cheetah;
 
 namespace {
 
-/// Writes \p Text to \p Path. \returns false on I/O failure.
-bool writeFile(const std::string &Path, const std::string &Text) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
-}
-
-/// Reads the whole of \p Path into \p Out. \returns false on I/O failure.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return false;
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  return Ok;
+/// Writes \p Text to \p Path. \returns false, after printing why, on I/O
+/// failure.
+bool writeOrReport(const std::string &Path, const std::string &Text) {
+  std::string Error;
+  if (writeFile(Path, Text, Error))
+    return true;
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return false;
 }
 
 /// Buckets a trace's sample stream per issuing thread — the shape the
@@ -222,8 +203,8 @@ int main(int Argc, char **Argv) {
   // Resume an existing store so restarted daemons keep appending.
   core::ReportHistory History;
   {
-    std::string Text;
-    if (readFile(StorePath, Text) &&
+    std::string Text, Missing;
+    if (readFile(StorePath, Text, Missing) &&
         !core::ReportHistory::parse(Text, History, Error)) {
       std::fprintf(stderr, "error: %s: %s\n", StorePath.c_str(),
                    Error.c_str());
@@ -294,10 +275,10 @@ int main(int Argc, char **Argv) {
     }
     // The store is rewritten after every epoch so trend tooling reads a
     // complete, valid ledger at any point in the daemon's life.
-    if (!writeFile(StorePath, History.serialize()))
+    if (!writeOrReport(StorePath, History.serialize()))
       return 1;
     if (!SnapshotDir.empty() &&
-        !writeFile(SnapshotDir + "/" + RunId + ".json", ReportText))
+        !writeOrReport(SnapshotDir + "/" + RunId + ".json", ReportText))
       return 1;
 
     std::fprintf(

@@ -29,6 +29,7 @@
 
 #include "core/report/ReportDiff.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <string>
@@ -37,44 +38,18 @@ using namespace cheetah;
 
 namespace {
 
-/// Reads the whole of \p Path into \p Out. \returns false on I/O failure.
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for reading\n",
-                 Path.c_str());
-    return false;
-  }
-  char Buffer[1 << 16];
-  size_t Read;
-  while ((Read = std::fread(Buffer, 1, sizeof(Buffer), File)) > 0)
-    Out.append(Buffer, Read);
-  bool Ok = !std::ferror(File);
-  std::fclose(File);
-  if (!Ok)
-    std::fprintf(stderr, "error: failed reading '%s'\n", Path.c_str());
-  return Ok;
-}
-
-/// Writes \p Text to \p Path ("" or "-" = stdout). \returns false on I/O
-/// failure.
+/// Writes \p Text to \p Path ("" or "-" = stdout). \returns false, after
+/// printing why, on I/O failure.
 bool writeOutput(const std::string &Path, const std::string &Text) {
   if (Path.empty() || Path == "-") {
     std::fputs(Text.c_str(), stdout);
     return true;
   }
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
+  std::string Error;
+  if (writeFile(Path, Text, Error))
+    return true;
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return false;
 }
 
 } // namespace
@@ -119,8 +94,10 @@ int main(int Argc, char **Argv) {
   for (int I = 0; I < 2; ++I) {
     const std::string &Path = Flags.positional()[I];
     std::string Text;
-    if (!readFile(Path, Text))
+    if (!readFile(Path, Text, Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
+    }
     if (!core::parseReport(Text, Reports[I], Error)) {
       std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), Error.c_str());
       return 1;

@@ -30,6 +30,7 @@
 #include "driver/ProfileSession.h"
 #include "driver/SessionOptions.h"
 #include "support/CommandLine.h"
+#include "support/FileIO.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
@@ -39,25 +40,18 @@ using namespace cheetah;
 
 namespace {
 
-/// Writes \p Text to \p Path ("" or "-" = stdout). \returns false on I/O
-/// failure.
+/// Writes \p Text to \p Path ("" or "-" = stdout). \returns false, after
+/// printing why, on I/O failure.
 bool writeOutput(const std::string &Path, const std::string &Text) {
   if (Path.empty() || Path == "-") {
     std::fputs(Text.c_str(), stdout);
     return true;
   }
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  bool Closed = std::fclose(File) == 0;
-  bool Ok = Written == Text.size() && Closed;
-  if (!Ok)
-    std::fprintf(stderr, "error: short write to '%s'\n", Path.c_str());
-  return Ok;
+  std::string Error;
+  if (writeFile(Path, Text, Error))
+    return true;
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return false;
 }
 
 } // namespace
